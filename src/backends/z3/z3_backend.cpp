@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -27,7 +28,22 @@ void applyBudget(z3::solver& solver, const SolveBudget& budget) {
   solver.set(params);
 }
 
-/// Best-effort read of the solver's cumulative "rlimit count" statistic.
+/// The one native solver shape (DESIGN.md §7): a fresh solver per query,
+/// built from a fixed preprocessing tactic chain. Z3's default solver
+/// either runs in incremental mode, which skips whole-problem
+/// preprocessing, or, used one-shot, auto-selects a QF_LIA tactic with a
+/// high fixed cost per query; this chain runs the equality and
+/// unconstrained-variable elimination the encodings benefit from and then
+/// the SMT core.
+z3::solver makeSolver(z3::context& ctx) {
+  const z3::tactic chain =
+      z3::tactic(ctx, "simplify") & z3::tactic(ctx, "propagate-values") &
+      z3::tactic(ctx, "solve-eqs") & z3::tactic(ctx, "elim-uncnstr") &
+      z3::tactic(ctx, "smt");
+  return chain.mk_solver();
+}
+
+/// Best-effort read of the context's cumulative "rlimit count" statistic.
 std::uint64_t readRlimit(z3::solver& solver) {
   try {
     const z3::stats stats = solver.statistics();
@@ -60,7 +76,14 @@ SolveResult canceledResult() {
 }  // namespace
 
 struct Z3Backend::Impl {
-  z3::context ctx;
+  /// Created on the first lower, check or parse: an engine answered from
+  /// the verdict cache never pays for a Z3 context.
+  std::optional<z3::context> ctxStorage;
+
+  z3::context& ctx() {
+    if (!ctxStorage) ctxStorage.emplace();
+    return *ctxStorage;
+  }
 
   // --- cooperative cancellation (DESIGN.md §8) ---------------------------
   // `cancelled` short-circuits every query at our layer; Z3_interrupt is
@@ -75,12 +98,6 @@ struct Z3Backend::Impl {
   FaultPlanPtr faultPlan;
   std::string faultScope;
   std::map<std::string, std::size_t> faultCounters;
-
-  /// Memoized lowering shared with the CHC backend.
-  z3::expr lower(ir::TermRef root,
-                 std::unordered_map<const ir::Term*, z3::expr>& memo) {
-    return lowerTerm(ctx, root, memo);
-  }
 
   /// Consumes the next fault slot for the current scope. Returns the
   /// injected action, if any. ForceUnknown and Throw are handled here;
@@ -129,9 +146,10 @@ struct Z3Backend::Impl {
 
   /// Runs solver.check() under the cancellation protocol and extracts the
   /// result. May be cancelled from another thread at any point.
-  SolveResult runSolver(z3::solver& solver, std::uint64_t rlimitBefore) {
+  SolveResult runSolver(z3::solver& solver) {
     SolveResult result;
     if (cancelled.load()) return canceledResult();
+    const std::uint64_t rlimitBefore = readRlimit(solver);
 
     const auto start = std::chrono::steady_clock::now();
     z3::check_result status = z3::unknown;
@@ -158,7 +176,7 @@ struct Z3Backend::Impl {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     // readRlimit returns 0 when the statistic is unavailable; clamp so the
-    // delta never wraps when rlimitBefore reflects earlier session queries.
+    // delta never wraps.
     const std::uint64_t rlimitNow = readRlimit(solver);
     result.rlimitUsed = rlimitNow > rlimitBefore ? rlimitNow - rlimitBefore : 0;
 
@@ -196,6 +214,54 @@ struct Z3Backend::Impl {
     }
     return result;
   }
+
+  /// Lowers boolean constraints through `memo` (the memoized lowering
+  /// shared with the CHC backend) and appends them to `out`.
+  void lowerAll(std::span<const ir::TermRef> constraints,
+                std::unordered_map<const ir::Term*, z3::expr>& memo,
+                std::vector<z3::expr>& out) {
+    for (const ir::TermRef c : constraints) {
+      if (c->sort != ir::Sort::Bool) {
+        throw BackendError("constraint is not boolean");
+      }
+      out.push_back(lowerTerm(ctx(), c, memo));
+    }
+  }
+
+  /// Checks the conjunction of `assertions` on a fresh makeSolver() solver.
+  SolveResult solveFresh(const std::vector<z3::expr>& assertions,
+                         const SolveBudget& budget) {
+    z3::solver solver = makeSolver(ctx());
+    applyBudget(solver, budget);
+    for (const z3::expr& a : assertions) solver.add(a);
+    return runSolver(solver);
+  }
+
+  /// The protocol every query entry point shares: the cancellation
+  /// short-circuit, fault injection around `solve`, and the mapping of Z3
+  /// exceptions (a cancellation racing with lowering surfaces as a z3
+  /// "canceled" exception rather than an unknown check result).
+  template <typename Solve>
+  SolveResult guardedQuery(const char* what, Solve&& solve) {
+    if (cancelled.load()) return canceledResult();
+    SolveResult injected;
+    const auto fault = consumeFault(&injected);
+    if (fault && fault->kind == FaultAction::Kind::ForceUnknown) {
+      return injected;
+    }
+    try {
+      SolveResult result = solve();
+      if (fault && fault->kind == FaultAction::Kind::CorruptWitness) {
+        result.corruptWitness = true;
+      }
+      return result;
+    } catch (const z3::exception& e) {
+      if (cancelled.load() || reasonMeansCanceled(e.msg())) {
+        return canceledResult();
+      }
+      throw BackendError(std::string(what) + e.msg());
+    }
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -204,26 +270,15 @@ struct Z3Backend::Impl {
 
 struct Z3Backend::Session::Impl {
   Z3Backend::Impl* backend;
-  z3::solver solver;
   SolveBudget defaultBudget;
   /// Persists across queries: terms lowered for one query are reused by
   /// every later query on the same arena.
   std::unordered_map<const ir::Term*, z3::expr> memo;
+  /// The lowered base constraints, added to every query's fresh solver.
+  std::vector<z3::expr> base;
   std::size_t queries = 0;
-  /// Cumulative "rlimit count" after the previous query, for per-query
-  /// consumption deltas.
-  std::uint64_t rlimitSeen = 0;
 
-  explicit Impl(Z3Backend::Impl* b) : backend(b), solver(b->ctx) {}
-
-  void assertAll(std::span<const ir::TermRef> constraints) {
-    for (const ir::TermRef c : constraints) {
-      if (c->sort != ir::Sort::Bool) {
-        throw BackendError("constraint is not boolean");
-      }
-      solver.add(backend->lower(c, memo));
-    }
-  }
+  explicit Impl(Z3Backend::Impl* b) : backend(b) {}
 };
 
 Z3Backend::Session::Session(std::unique_ptr<Impl> impl)
@@ -233,10 +288,12 @@ Z3Backend::Session::~Session() = default;
 
 void Z3Backend::Session::assertBase(
     std::span<const ir::TermRef> constraints) {
+  Z3Backend::Impl* backend = impl_->backend;
+  if (backend->cancelled.load()) return;  // engine is being torn down
   try {
-    impl_->assertAll(constraints);
+    backend->lowerAll(constraints, impl_->memo, impl_->base);
   } catch (const z3::exception& e) {
-    if (impl_->backend->cancelled.load()) return;  // engine is being torn down
+    if (backend->cancelled.load()) return;
     throw BackendError(std::string("z3: ") + e.msg());
   }
 }
@@ -245,41 +302,13 @@ SolveResult Z3Backend::Session::check(
     std::span<const ir::TermRef> extra,
     const std::optional<SolveBudget>& budget) {
   Z3Backend::Impl* backend = impl_->backend;
-  if (backend->cancelled.load()) return canceledResult();
-
-  SolveResult injected;
-  const auto fault = backend->consumeFault(&injected);
-  if (fault && fault->kind == FaultAction::Kind::ForceUnknown) {
-    ++impl_->queries;
-    return injected;
-  }
-
-  try {
-    applyBudget(impl_->solver, budget.value_or(impl_->defaultBudget));
-    impl_->solver.push();
-    SolveResult result;
-    try {
-      impl_->assertAll(extra);
-      result = backend->runSolver(impl_->solver, impl_->rlimitSeen);
-    } catch (...) {
-      impl_->solver.pop();
-      throw;
-    }
-    impl_->solver.pop();
-    impl_->rlimitSeen += result.rlimitUsed;
-    ++impl_->queries;
-    if (fault && fault->kind == FaultAction::Kind::CorruptWitness) {
-      result.corruptWitness = true;
-    }
-    return result;
-  } catch (const z3::exception& e) {
-    // A cancellation racing with lowering/push/pop surfaces as a z3
-    // "canceled" exception rather than an unknown check result.
-    if (backend->cancelled.load() || reasonMeansCanceled(e.msg())) {
-      return canceledResult();
-    }
-    throw BackendError(std::string("z3: ") + e.msg());
-  }
+  if (!backend->cancelled.load()) ++impl_->queries;
+  return backend->guardedQuery("z3: ", [&] {
+    std::vector<z3::expr> assertions = impl_->base;
+    backend->lowerAll(extra, impl_->memo, assertions);
+    return backend->solveFresh(assertions,
+                               budget.value_or(impl_->defaultBudget));
+  });
 }
 
 std::size_t Z3Backend::Session::queryCount() const { return impl_->queries; }
@@ -297,82 +326,46 @@ Z3Backend::~Z3Backend() = default;
 
 std::unique_ptr<Z3Backend::Session> Z3Backend::openSession(
     std::span<const ir::TermRef> base, SolveBudget budget) {
-  try {
-    auto impl = std::make_unique<Session::Impl>(impl_.get());
-    impl->defaultBudget = budget;
-    applyBudget(impl->solver, budget);
-    impl->assertAll(base);
-    return std::unique_ptr<Session>(new Session(std::move(impl)));
-  } catch (const z3::exception& e) {
-    throw BackendError(std::string("z3: ") + e.msg());
-  }
+  auto impl = std::make_unique<Session::Impl>(impl_.get());
+  impl->defaultBudget = budget;
+  std::unique_ptr<Session> session(new Session(std::move(impl)));
+  session->assertBase(base);
+  return session;
 }
 
 SolveResult Z3Backend::check(std::span<const ir::TermRef> constraints,
                              SolveBudget budget) {
-  if (impl_->cancelled.load()) return canceledResult();
-  SolveResult injected;
-  const auto fault = impl_->consumeFault(&injected);
-  if (fault && fault->kind == FaultAction::Kind::ForceUnknown) {
-    return injected;
-  }
-  try {
-    z3::solver solver(impl_->ctx);
-    applyBudget(solver, budget);
+  return impl_->guardedQuery("z3: ", [&] {
     std::unordered_map<const ir::Term*, z3::expr> memo;
-    for (const ir::TermRef c : constraints) {
-      if (c->sort != ir::Sort::Bool) {
-        throw BackendError("constraint is not boolean");
-      }
-      solver.add(impl_->lower(c, memo));
-    }
-    SolveResult result = impl_->runSolver(solver, 0);
-    if (fault && fault->kind == FaultAction::Kind::CorruptWitness) {
-      result.corruptWitness = true;
-    }
-    return result;
-  } catch (const z3::exception& e) {
-    if (impl_->cancelled.load() || reasonMeansCanceled(e.msg())) {
-      return canceledResult();
-    }
-    throw BackendError(std::string("z3: ") + e.msg());
-  }
+    std::vector<z3::expr> assertions;
+    impl_->lowerAll(constraints, memo, assertions);
+    return impl_->solveFresh(assertions, budget);
+  });
 }
 
 SolveResult Z3Backend::checkSmtLib(const std::string& smtlib,
                                    SolveBudget budget) {
-  if (impl_->cancelled.load()) return canceledResult();
-  SolveResult injected;
-  const auto fault = impl_->consumeFault(&injected);
-  if (fault && fault->kind == FaultAction::Kind::ForceUnknown) {
-    return injected;
-  }
-  try {
-    z3::solver solver(impl_->ctx);
+  // Z3's default solver, not makeSolver(): the ladder's last rung and the
+  // native-vs-SMT-LIB differential stay structurally independent of the
+  // native path.
+  return impl_->guardedQuery("z3 (smtlib parse): ", [&] {
+    z3::context& ctx = impl_->ctx();
+    z3::solver solver(ctx);
     applyBudget(solver, budget);
-    const z3::expr_vector assertions =
-        impl_->ctx.parse_string(smtlib.c_str());
+    const z3::expr_vector assertions = ctx.parse_string(smtlib.c_str());
     for (unsigned i = 0; i < assertions.size(); ++i) {
       solver.add(assertions[i]);
     }
-    SolveResult result = impl_->runSolver(solver, 0);
-    if (fault && fault->kind == FaultAction::Kind::CorruptWitness) {
-      result.corruptWitness = true;
-    }
-    return result;
-  } catch (const z3::exception& e) {
-    if (impl_->cancelled.load() || reasonMeansCanceled(e.msg())) {
-      return canceledResult();
-    }
-    throw BackendError(std::string("z3 (smtlib parse): ") + e.msg());
-  }
+    return impl_->runSolver(solver);
+  });
 }
 
 void Z3Backend::interrupt() {
   impl_->cancelled.store(true);
   const std::lock_guard<std::mutex> lock(impl_->interruptMutex);
+  // `solving` implies the context exists: it is created before the check.
   if (impl_->solving) {
-    impl_->ctx.interrupt();
+    impl_->ctxStorage->interrupt();
   }
 }
 

@@ -2,13 +2,17 @@
 // the native Z3 C++ API (the paper's primary backend, §4) and runs
 // satisfiability / verification queries.
 //
-// Two usage modes:
+// Every query is solved on a fresh solver built from one fixed
+// preprocessing tactic chain (DESIGN.md §7), so no query sees another's
+// assertions or learned state. Two usage modes:
 //  * one-shot check() — lower + solve from scratch (ablations, simple uses);
-//  * a persistent Session — one z3::solver plus a lowering memo that live
-//    across queries. Base constraints (the encoding's assumptions and
-//    soundness conditions) are asserted once; each query is answered inside
-//    a push()/pop() frame, so the solver reuses both the lowered AST and
-//    the lemmas it learned from earlier queries on the same encoding.
+//  * a persistent Session — a lowering memo plus base constraints that live
+//    across queries. Terms lowered for one query are reused by the next;
+//    each check() solves base ∧ extra on its own fresh solver.
+//
+// The z3::context is created on the first lower, check or parse, so a
+// backend that is never asked a query (e.g. a cache-answered engine) costs
+// no Z3 state.
 //
 // Resilience (DESIGN.md §8): every query runs under a SolveBudget
 // (wall-clock timeout, Z3 rlimit, memory cap, random seed), queries can be
@@ -82,27 +86,25 @@ struct SolveResult {
 
 class Z3Backend {
  public:
-  /// A persistent incremental solving session. Must not outlive the
-  /// Z3Backend that created it (it borrows the backend's z3::context), and
-  /// must not be used from a different thread than other sessions of the
-  /// same backend — Z3 contexts are not thread-safe. Use one Z3Backend per
-  /// thread for parallel solving. (interrupt() on the owning backend is the
-  /// one deliberate exception: it may be called from any thread.)
+  /// A persistent solving session over one shared lowering memo. Must not
+  /// outlive the Z3Backend that created it (it borrows the backend's
+  /// z3::context), and must not be used from a different thread than other
+  /// sessions of the same backend — Z3 contexts are not thread-safe. Use
+  /// one Z3Backend per thread for parallel solving. (interrupt() on the
+  /// owning backend is the one deliberate exception: it may be called from
+  /// any thread.)
   class Session {
    public:
     ~Session();
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
 
-    /// Asserts constraints permanently (for the lifetime of the session).
+    /// Adds constraints to the base every later query is solved under.
     void assertBase(std::span<const ir::TermRef> constraints);
 
-    /// Checks base ∧ extra. The extra constraints are asserted inside a
-    /// push()/pop() frame and retracted before returning, so the next
-    /// query starts again from the base. `budget` overrides the session
-    /// default for this query only (the effective budget is re-applied on
-    /// every check, so an escalated timeout does not leak into the next
-    /// query).
+    /// Checks base ∧ extra on a fresh solver; the extra constraints do not
+    /// outlive the query. `budget` overrides the session default for this
+    /// query only.
     SolveResult check(std::span<const ir::TermRef> extra,
                       const std::optional<SolveBudget>& budget = std::nullopt);
 
@@ -135,7 +137,8 @@ class Z3Backend {
 
   /// Parses SMT-LIB2 text (e.g. from the smtlib backend) and checks it —
   /// the emission/reparse path of the backend-comparison ablation and the
-  /// last rung of the Unknown-escalation ladder.
+  /// last rung of the Unknown-escalation ladder. Uses Z3's default solver,
+  /// not the native path's tactic chain, so the two stay independent.
   SolveResult checkSmtLib(const std::string& smtlib, SolveBudget budget = {});
 
   /// Cooperative cancellation, callable from ANY thread (the only

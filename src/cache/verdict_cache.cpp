@@ -373,6 +373,16 @@ void VerdictCache::rememberLocked(const std::string& key,
 }
 
 void VerdictCache::store(const std::string& key, const CachedVerdict& value) {
+  enqueue(key, value, /*overwrite=*/false);
+}
+
+void VerdictCache::replace(const std::string& key,
+                           const CachedVerdict& value) {
+  enqueue(key, value, /*overwrite=*/true);
+}
+
+void VerdictCache::enqueue(const std::string& key, const CachedVerdict& value,
+                           bool overwrite) {
   const double cpuStart = threadCpuNow();
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.stores;
@@ -384,7 +394,7 @@ void VerdictCache::store(const std::string& key, const CachedVerdict& value) {
   // Write-behind: encode now (cheap, and the writer thread then never
   // touches CachedVerdict), land later. The existing-record check also
   // moves off the solve path — the writer stats the file before writing.
-  writeQueue_.emplace_back(key, encodeRecord(key, value));
+  writeQueue_.push_back({key, encodeRecord(key, value), overwrite});
   writeCv_.notify_one();
   stats_.clientSeconds += threadCpuNow() - cpuStart;
 }
@@ -403,13 +413,14 @@ void VerdictCache::writerLoop() {
       if (stopWriter_) return;  // drained — safe to exit
       continue;
     }
-    const auto [key, record] = std::move(writeQueue_.front());
+    const PendingWrite write = std::move(writeQueue_.front());
     writeQueue_.pop_front();
     ++writesInFlight_;
     const std::uint64_t tempId = ++tempCounter_;
     lock.unlock();
     const double cpuStart = threadCpuNow();
-    const std::uint64_t added = diskWrite(key, record, tempId);
+    const std::uint64_t added =
+        diskWrite(write.key, write.record, write.overwrite, tempId);
     lock.lock();
     diskBytes_ += added;
     if (added > 0 && options_.maxDiskBytes > 0 &&
@@ -424,15 +435,19 @@ void VerdictCache::writerLoop() {
 
 std::uint64_t VerdictCache::diskWrite(const std::string& key,
                                       const std::string& record,
-                                      std::uint64_t tempId) {
+                                      bool overwrite, std::uint64_t tempId) {
   const std::string path = pathFor(key);
   struct stat st{};
-  if (::stat(path.c_str(), &st) == 0) return 0;  // already on disk
+  const bool existed = ::stat(path.c_str(), &st) == 0;
+  if (existed && !overwrite) return 0;  // already on disk
+  const std::uint64_t replaced =
+      existed ? static_cast<std::uint64_t>(st.st_size) : 0;
   // Concurrent-writer safety: each writer lands its record under a unique
   // temp name, then renames into place. rename() is atomic, so a reader
   // (this process or another run sharing the directory) sees either no
   // file or a whole record — never a torn one. Two writers racing on one
-  // key both write identical content; last rename wins.
+  // key each hold a valid answer, though not necessarily the same witness
+  // (solver seeds and backends differ); last rename wins.
   const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
                            std::to_string(tempId);
   {
@@ -449,7 +464,7 @@ std::uint64_t VerdictCache::diskWrite(const std::string& key,
     ::unlink(temp.c_str());
     return 0;
   }
-  return record.size();
+  return record.size() > replaced ? record.size() - replaced : 0;
 }
 
 void VerdictCache::enforceDiskLimit() {
@@ -501,7 +516,7 @@ void VerdictCache::invalidate(const std::string& key) {
   // after the unlink and resurrect the record. Invalidation is rare
   // (corruption, --cache-verify mismatch), so draining is affordable.
   for (auto qit = writeQueue_.begin(); qit != writeQueue_.end();) {
-    qit = qit->first == key ? writeQueue_.erase(qit) : std::next(qit);
+    qit = qit->key == key ? writeQueue_.erase(qit) : std::next(qit);
   }
   drainCv_.wait(lock,
                 [this] { return writeQueue_.empty() && writesInFlight_ == 0; });

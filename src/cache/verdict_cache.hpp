@@ -130,6 +130,11 @@ class VerdictCache {
   /// tear a record, because landing is still temp-write + rename.
   void store(const std::string& key, const CachedVerdict& value);
 
+  /// store(), except that the disk write replaces a record already there.
+  /// For an answer that must supersede a sibling's earlier store of the
+  /// same key: a portfolio race's winner over a loser that landed first.
+  void replace(const std::string& key, const CachedVerdict& value);
+
   /// Blocks until every store() issued so far has landed on disk.
   void flushDisk();
 
@@ -164,9 +169,12 @@ class VerdictCache {
  private:
   std::optional<CachedVerdict> diskLookup(const std::string& key);
   /// Runs on the writer thread: temp-write + rename, returns bytes added
-  /// (0 when skipped or failed). Takes no lock — pure file I/O.
+  /// (0 when skipped or failed; a replaced record's size is netted out).
+  /// Takes no lock — pure file I/O.
   std::uint64_t diskWrite(const std::string& key, const std::string& record,
-                          std::uint64_t tempId);
+                          bool overwrite, std::uint64_t tempId);
+  void enqueue(const std::string& key, const CachedVerdict& value,
+               bool overwrite);
   void writerLoop();
   void enforceDiskLimit();
   void rememberLocked(const std::string& key, const CachedVerdict& value);
@@ -186,7 +194,12 @@ class VerdictCache {
 
   /// Write-behind state (guarded by mutex_). The thread exists only when
   /// a disk tier is configured.
-  std::deque<std::pair<std::string, std::string>> writeQueue_;
+  struct PendingWrite {
+    std::string key;
+    std::string record;
+    bool overwrite = false;
+  };
+  std::deque<PendingWrite> writeQueue_;
   std::condition_variable writeCv_;
   std::condition_variable drainCv_;
   bool stopWriter_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ctime>
-#include <unordered_set>
 
 #include "ir/term_eval.hpp"
 #include "ir/term_hash.hpp"
@@ -32,6 +31,25 @@ std::optional<Verdict> parseVerdictName(const std::string& name) {
     if (name == verdictName(v)) return v;
   }
   return std::nullopt;
+}
+
+std::optional<cache::CachedVerdict> cacheRecordOf(
+    const AnalysisResult& result) {
+  if (result.canceled) return std::nullopt;
+  switch (result.verdict) {
+    case Verdict::Satisfiable:
+    case Verdict::Unsatisfiable:
+    case Verdict::Verified:
+    case Verdict::Violated: break;
+    default: return std::nullopt;
+  }
+  cache::CachedVerdict value;
+  value.verdict = verdictName(result.verdict);
+  value.detail = result.detail;
+  value.solveSeconds = result.solveSeconds;
+  value.witnessChecked = result.witnessChecked;
+  value.trace = result.trace;
+  return value;
 }
 
 pipeline::PipelineOptions pipelineOptionsFor(const AnalysisOptions& options) {
@@ -74,20 +92,13 @@ struct Analysis::Impl {
   bool workloadLocked = false;
   backends::Z3Backend solver;
   std::unique_ptr<Encoding> encoding;
-  /// Persistent incremental solver session over the encoding's structural
-  /// constraints (assumptions + soundness). Each check/verify is answered
-  /// inside a push/pop frame carrying only the workload delta + query, so
-  /// the lowered AST and learned lemmas are shared across queries.
+  /// Solver session whose lowering memo is shared by every query of this
+  /// engine (compile once). Each check/verify solves its own standalone
+  /// problem on a fresh solver (DESIGN.md §7); the session has no base.
   std::unique_ptr<backends::Z3Backend::Session> session;
   /// Encoding optimizer (DESIGN.md §9), built lazily from the encoding's
-  /// structural constraints. With the optimizer on, the session starts
-  /// empty and accumulates the union of the per-query slices — asserting a
-  /// superset of a slice is always sound (every piece is part of the
-  /// original problem), and the union grows monotonically as sessions
-  /// require.
+  /// structural constraints.
   std::unique_ptr<opt::Optimizer> optimizer;
-  /// Structural assertions already asserted into the session.
-  std::unordered_set<ir::TermRef> assertedStructural;
   /// Canonical structural hasher for cache keys. Memoizes per term, and
   /// every term this engine hashes lives in the one encoding arena, so
   /// one hasher per engine is sound.
@@ -143,21 +154,6 @@ struct Analysis::Impl {
     return budget;
   }
 
-  /// The persistent session carries the structural constraints; everything
-  /// per-query (workload delta + query term) travels through queryDelta.
-  /// With the optimizer enabled the base is asserted per query (only the
-  /// slice each query needs, newly-required pieces only).
-  backends::Z3Backend::Session& ensureSession(Encoding& enc) {
-    if (!session) {
-      session = solver.openSession({}, baseBudget());
-      if (!options.opt.enabled) {
-        session->assertBase(enc.assumptions);
-        session->assertBase(enc.soundness);
-      }
-    }
-    return *session;
-  }
-
   opt::Optimizer& ensureOptimizer(Encoding& enc) {
     if (!optimizer) {
       std::vector<ir::TermRef> structural = enc.assumptions;
@@ -202,9 +198,9 @@ struct Analysis::Impl {
   /// One query's solvable forms: the raw workload+query delta and the
   /// content-addressed cache key, derived first (planned=false), then —
   /// only when the cache does not answer — the optimizer plan and the
-  /// standalone constraint set the text-emission paths render
-  /// (finishKeyed). The key is empty when no cache is configured or no
-  /// backend id was given.
+  /// standalone constraint set every solve path answers (finishKeyed).
+  /// The key is empty when no cache is configured or no backend id was
+  /// given.
   struct Keyed {
     std::vector<ir::TermRef> delta;
     std::optional<opt::Optimizer::Plan> plan;
@@ -213,8 +209,8 @@ struct Analysis::Impl {
     bool planned = false;
   };
 
-  /// `backend` names the solve path for key derivation ("z3" incremental
-  /// session / "smtlib" emission+reparse); nullptr skips key derivation
+  /// `backend` names the solve path for key derivation ("z3" native
+  /// solver / "smtlib" emission+reparse); nullptr skips key derivation
   /// (pure problem construction, e.g. toSmtLib export).
   ///
   /// The key hashes the PRE-optimizer problem (encoding structural sets +
@@ -341,26 +337,10 @@ struct Analysis::Impl {
     return result;
   }
 
-  /// Stores a finished query back. Only conclusive, non-canceled verdicts
-  /// are cached: Unknown depends on budgets/seeds (not part of the key)
-  /// and WitnessMismatch marks an untrustworthy model — neither may be
-  /// replayed onto a later run.
+  /// Stores a finished query back (see cacheRecordOf for what is kept).
   void maybeStore(const std::string& key, const AnalysisResult& result) {
-    if (!options.cache || key.empty() || result.canceled) return;
-    switch (result.verdict) {
-      case Verdict::Satisfiable:
-      case Verdict::Unsatisfiable:
-      case Verdict::Verified:
-      case Verdict::Violated: break;
-      default: return;
-    }
-    cache::CachedVerdict value;
-    value.verdict = verdictName(result.verdict);
-    value.detail = result.detail;
-    value.solveSeconds = result.solveSeconds;
-    value.witnessChecked = result.witnessChecked;
-    value.trace = result.trace;
-    options.cache->store(key, value);
+    if (!options.cache || key.empty()) return;
+    if (auto value = cacheRecordOf(result)) options.cache->store(key, *value);
   }
 
   /// Completes a Sat model with the plan's certified values for variables
@@ -486,47 +466,34 @@ struct Analysis::Impl {
     if (auto hit = tryCacheHit(keyed.key, enc, forVerify)) return *hit;
     finishKeyed(keyed, enc);
 
-    auto& session = ensureSession(enc);
-    std::vector<ir::TermRef> delta = keyed.delta;
+    if (!session) session = solver.openSession({}, baseBudget());
+    const std::vector<ir::TermRef>& problem = keyed.standalone;
     std::optional<opt::Optimizer::Plan>& planned = keyed.plan;
-    if (planned) {
-      // Assert the structural constraints this query's slice needs and the
-      // session does not hold yet (the session's base is the monotone
-      // union of the query slices). The session-safe set is used — never
-      // the query-specialized one, which is only valid under this query's
-      // delta bounds.
-      std::vector<ir::TermRef> fresh;
-      for (const ir::TermRef t : planned->sessionStructural) {
-        if (assertedStructural.insert(t).second) fresh.push_back(t);
-      }
-      if (!fresh.empty()) session.assertBase(fresh);
-      delta = planned->delta;
-    }
 
     std::vector<SolveAttempt> attempts;
     backends::SolveBudget budget = baseBudget();
-    backends::SolveResult sr = session.check(delta, budget);
+    backends::SolveResult sr = session->check(problem, budget);
     recordAttempt(attempts, "initial", budget, sr);
 
     if (retryable(sr)) {
       budget.randomSeed = options.retry.reseedSeed;
-      sr = session.check(delta, budget);
+      sr = session->check(problem, budget);
       recordAttempt(attempts, "reseed", budget, sr);
     }
     if (retryable(sr) && (budget.timeoutMs || budget.rlimit)) {
       const unsigned factor = std::max(1u, options.retry.escalateFactor);
       if (budget.timeoutMs) budget.timeoutMs = *budget.timeoutMs * factor;
       if (budget.rlimit) budget.rlimit = *budget.rlimit * factor;
-      sr = session.check(delta, budget);
+      sr = session->check(problem, budget);
       recordAttempt(attempts, "escalate", budget, sr);
     }
     if (retryable(sr) && options.retry.smtlibFallback) {
       // Last rung: a structurally different solve — render the standalone
-      // problem as SMT-LIB2 text and reparse it into a fresh one-shot
-      // solver, sidestepping the incremental session's accumulated state.
+      // problem as SMT-LIB2 text and reparse it into Z3's default solver
+      // instead of the native path's tactic chain.
       backends::SmtLibOptions sopts;
       sopts.checkSat = false;  // the reparsing solver issues its own check
-      const std::string text = backends::emitSmtLib(keyed.standalone, sopts);
+      const std::string text = backends::emitSmtLib(problem, sopts);
       sr = solver.checkSmtLib(text, budget);
       recordAttempt(attempts, "smtlib", budget, sr);
     }

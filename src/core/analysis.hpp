@@ -46,8 +46,8 @@ struct RetryPolicy {
   /// is nothing to escalate).
   unsigned escalateFactor = 4;
   /// Final rung: re-render the whole problem as SMT-LIB2 and solve the
-  /// reparse through a fresh solver — a different preprocessing pipeline
-  /// that sidesteps incremental-session state entirely.
+  /// reparse through Z3's default solver — a different preprocessing
+  /// pipeline from the native path's tactic chain.
   bool smtlibFallback = true;
 };
 
@@ -101,7 +101,7 @@ struct AnalysisOptions {
   CompileBudget budget;
   /// Content-addressed verdict cache (DESIGN.md §14). When set, every
   /// check/verify/solveViaSmtLib derives a canonical key from the
-  /// post-optimizer constraint set and consults the cache before opening a
+  /// pre-optimizer constraint set and consults the cache before opening a
   /// solver session; conclusive, non-canceled verdicts are stored back.
   /// Shared (it is thread-safe) across every engine of a run — sweep
   /// points, race members, synth workers — and, via its disk tier, across
@@ -191,6 +191,12 @@ struct AnalysisResult {
   }
 };
 
+/// The verdict-cache record for a finished query. Only conclusive,
+/// non-canceled verdicts have one: Unknown depends on budgets/seeds (not
+/// part of the key) and WitnessMismatch marks an untrustworthy model —
+/// neither may be replayed onto a later run.
+std::optional<cache::CachedVerdict> cacheRecordOf(const AnalysisResult& result);
+
 /// Concrete traffic for simulation: qualified buffer name ->
 /// per-step list of packets (each a field->value map).
 using ConcretePacket = std::map<std::string, std::int64_t>;
@@ -217,7 +223,7 @@ class Analysis {
 
   /// Re-binds the traffic assumptions on an already-built encoding as a
   /// *delta*: the compiled instances, the unrolled term arena, and the
-  /// incremental solver session are all kept; only the workload constraint
+  /// solver session's lowering memo are all kept; only the workload constraint
   /// set is recomputed against the existing arrival variables. This is
   /// what makes candidate enumeration (synth) O(candidates × solve)
   /// instead of O(candidates × full pipeline). Builds the encoding if it
@@ -237,8 +243,9 @@ class Analysis {
   std::optional<AnalysisResult> probeCache(const Query& query,
                                            bool forVerify);
 
-  /// Number of queries answered by the persistent incremental solver
-  /// session (0 until the first check/verify).
+  /// Number of queries answered by the engine's solver session, which
+  /// shares one lowering memo across them (0 until the first query reaches
+  /// the solver; cache hits do not count).
   [[nodiscard]] std::size_t incrementalQueries() const;
 
   /// Cooperative cancellation, callable from ANY thread (the engine's only

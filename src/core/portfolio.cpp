@@ -54,6 +54,27 @@ bool mentionsHorizonConstant(const std::string& text) {
   return false;
 }
 
+using Race = jobs::RaceGroup<AnalysisResult>;
+
+/// Members store their answers as they finish, so when a race ends the
+/// winner's key may hold a loser's witness (seeds and backends choose
+/// different ones), and a loser may have stored under the other backend's
+/// key, which the next run's pre-race probe can reach first. Every member
+/// has ended by now: leave the winner's answer as the only one this race
+/// stored, so a warm run replays exactly what this run reported.
+void settleCache(cache::VerdictCache& cache, const Race::Outcome& outcome,
+                 const std::vector<std::string>& keys,
+                 const AnalysisResult& won) {
+  const std::string& winnerKey = keys[outcome.winner];
+  if (winnerKey.empty()) return;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (outcome.members[i].sound && !keys[i].empty() && keys[i] != winnerKey) {
+      cache.invalidate(keys[i]);
+    }
+  }
+  if (auto value = cacheRecordOf(won)) cache.replace(winnerKey, *value);
+}
+
 }  // namespace
 
 Portfolio::Portfolio(pipeline::CompilationUnitPtr unit,
@@ -102,7 +123,6 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
     }
   }
 
-  using Race = jobs::RaceGroup<AnalysisResult>;
   std::vector<Race::Member> members;
   // Loser results are discarded by the race; their verdict names are
   // recorded out-of-band for the report. Indexed writes from distinct
@@ -110,6 +130,7 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
   auto verdicts = std::make_shared<std::vector<std::string>>();
   auto cachedFlags = std::make_shared<std::vector<char>>();
   auto isolation = std::make_shared<std::vector<MemberIsolation>>();
+  auto cacheKeys = std::make_shared<std::vector<std::string>>();
 
   // Isolation eligibility is a property of the whole problem: the query
   // must survive as text ("true" is Query::always's description) and the
@@ -133,7 +154,7 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
     members.push_back(Race::Member{
         std::move(name),
         [this, memberOptions, viaSmtLib, scope, forVerify, idx, verdicts,
-         cachedFlags, isolation, isolate, &opts, &query,
+         cachedFlags, cacheKeys, isolation, isolate, &opts, &query,
          &workload](jobs::JobContext& ctx) {
           AnalysisResult result;
           if (isolate) {
@@ -185,6 +206,7 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
           }
           (*verdicts)[idx] = verdictName(result.verdict);
           (*cachedFlags)[idx] = result.cached ? 1 : 0;
+          (*cacheKeys)[idx] = result.cacheKey;
           return result;
         }});
   };
@@ -245,6 +267,7 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
 
   verdicts->resize(members.size());
   cachedFlags->resize(members.size());
+  cacheKeys->resize(members.size());
   isolation->resize(members.size());
   const Race::Outcome outcome =
       Race::run(members, opts.threads, soundVerdict);
@@ -285,6 +308,9 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
   }
   if (outcome.winner != jobs::JobPool::kNone) {
     result.winner = result.members[outcome.winner].name;
+    if (options_.cache) {
+      settleCache(*options_.cache, outcome, *cacheKeys, result.result);
+    }
   }
   return result;
 }

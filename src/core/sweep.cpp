@@ -54,8 +54,13 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
   spec.jobs = horizons;
   spec.workers = result.shards;
   spec.body = [&](jobs::JobContext& ctx, std::size_t idx) {
-    const int horizon = opts.fromHorizon + static_cast<int>(idx);
-    SweepPoint* points = &result.points[idx * q];
+    // Claims run from the largest horizon down. The encoding grows with
+    // the horizon, so the largest one is the longest job; started first,
+    // it sets the sweep's wall time alone, instead of adding to whichever
+    // small horizon its worker happened to finish before claiming it.
+    const std::size_t slot = horizons - 1 - idx;
+    const int horizon = opts.fromHorizon + static_cast<int>(slot);
+    SweepPoint* points = &result.points[slot * q];
     for (std::size_t i = 0; i < q; ++i) {
       points[i].horizon = horizon;
       points[i].query = queries[i].description();

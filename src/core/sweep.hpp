@@ -1,7 +1,8 @@
 // Horizon sharding (DESIGN.md §12): the Figure-6-style sweep — the same
 // queries answered at every horizon in [from, to] — run over a JobPool of
 // `shards` workers. Horizons are the job index space (dynamic claiming, so
-// a slow horizon does not stall the others); within one horizon the worker
+// a slow horizon does not stall the others; the largest horizon is claimed
+// first, since it takes the longest); within one horizon the worker
 // compiles the network once, builds one engine, and answers every query
 // through that engine's incremental session — the per-query pipeline and
 // session setup is paid once per horizon instead of once per (horizon,

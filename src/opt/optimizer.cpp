@@ -739,7 +739,6 @@ Optimizer::Plan Optimizer::plan(std::span<const ir::TermRef> delta) {
 
   if (!options_.enabled) {
     p.structural = structural_;
-    p.sessionStructural = structural_;
     p.delta.assign(delta.begin(), delta.end());
     st.assertionsAfter = st.assertionsBefore;
     st.nodesAfter = st.nodesBefore;
@@ -749,7 +748,6 @@ Optimizer::Plan Optimizer::plan(std::span<const ir::TermRef> delta) {
   if (structuralUnsat_) {
     // The unit bounds contradict on their own: every query is UNSAT.
     p.structural = {arena_.falseTerm()};
-    p.sessionStructural = p.structural;
     st.assertionsAfter = 1;
     st.nodesAfter = 1;
     return p;
@@ -803,30 +801,19 @@ Optimizer::Plan Optimizer::plan(std::span<const ir::TermRef> delta) {
     return r->isTrue() ? nullptr : r;
   };
 
-  bool rewroteFalse = false;
-  for (std::size_t i = 0; i < structural_.size(); ++i) {
-    if (keepAssert[i] == 0) continue;
-    const TermRef r = structuralRewritten(structural_[i]);
-    if (r == nullptr) continue;
-    if (r->isFalse()) {
-      rewroteFalse = true;
-      break;
-    }
-    p.sessionStructural.push_back(r);
-  }
   // Query-local seeding: unit bounds in this delta (workload pins such as
   // "no arrivals after step 0", query side conditions) tighten the seed
   // intervals for this plan only. The delta seed assertions are kept
   // verbatim below — they still constrain the solver — so rewriting the
-  // rest of the delta under them is an equivalence, and the scratch
-  // memos keep one query's facts away from the shared caches whose
-  // results incremental sessions assert persistently.
+  // rest of the problem under them is an equivalence, and the scratch
+  // memos keep one query's facts away from the shared caches later plans
+  // reuse.
   qseed_.clear();
   qival_.clear();
   qrw_.clear();
   std::unordered_set<TermRef> deltaSeeds;
   bool deltaUnsat = false;
-  if (options_.rewrite && !rewroteFalse) {
+  if (options_.rewrite) {
     for (const TermRef d : delta) {
       const auto shape = seedShape(d);
       if (!shape) continue;
@@ -845,53 +832,36 @@ Optimizer::Plan Optimizer::plan(std::span<const ir::TermRef> delta) {
     }
   }
 
-  if (rewroteFalse) {
+  // The kept structural slice, specialized under the delta bounds (the
+  // soundness side conditions share the per-step state terms with the
+  // query, so this is where most of the node reduction happens). A
+  // contradictory delta is UNSAT on its own: the slice is then rewritten
+  // under the structural seeds only and the delta collapses to `false`.
+  queryMode_ = !deltaUnsat && !qseed_.empty();
+  bool structuralFalse = false;
+  for (std::size_t i = 0; i < structural_.size(); ++i) {
+    if (keepAssert[i] == 0) continue;
+    const TermRef r = structuralRewritten(structural_[i]);
+    if (r == nullptr) continue;
+    if (r->isFalse()) {
+      structuralFalse = true;
+      break;
+    }
+    p.structural.push_back(r);
+  }
+  if (structuralFalse) {
     p.structural = {arena_.falseTerm()};
-    p.sessionStructural = p.structural;
-    p.delta.clear();
   } else if (deltaUnsat) {
-    // The delta's unit bounds contradict the structural seeds (or each
-    // other): this query is UNSAT on its own. The structural set stays
-    // usable for session reuse; the delta collapses to `false`.
-    p.structural = p.sessionStructural;
     p.delta = {arena_.falseTerm()};
   } else {
-    queryMode_ = !qseed_.empty();
-    // The standalone structural set: the same slice, further specialized
-    // under the delta bounds (the soundness side conditions share the
-    // per-step state terms with the query, so this is where most of the
-    // node reduction happens). When an assertion specializes to `false`,
-    // the combined problem is UNSAT: the session path must learn that
-    // through its delta, so `false` goes there too.
-    bool specializedFalse = false;
-    if (queryMode_) {
-      for (std::size_t i = 0; i < structural_.size(); ++i) {
-        if (keepAssert[i] == 0) continue;
-        const TermRef r = structuralRewritten(structural_[i]);
-        if (r == nullptr) continue;
-        if (r->isFalse()) {
-          specializedFalse = true;
-          break;
-        }
-        p.structural.push_back(r);
-      }
-    } else {
-      p.structural = p.sessionStructural;
+    for (const TermRef d : delta) {
+      const TermRef r =
+          options_.rewrite && deltaSeeds.count(d) == 0 ? rewritten(d) : d;
+      if (r->isTrue()) continue;
+      p.delta.push_back(r);
     }
-    if (specializedFalse) {
-      p.structural = {arena_.falseTerm()};
-      p.delta = {arena_.falseTerm()};
-    } else {
-      for (const TermRef d : delta) {
-        const TermRef r = options_.rewrite && deltaSeeds.count(d) == 0
-                              ? rewritten(d)
-                              : d;
-        if (r->isTrue()) continue;
-        p.delta.push_back(r);
-      }
-    }
-    queryMode_ = false;
   }
+  queryMode_ = false;
   st.comparisonsDecided = comparisonsDecided_ - cmpBefore;
   st.itesCollapsed = itesCollapsed_ - iteBefore;
   st.passes.push_back({"rewrite", secondsSince(rewriteStart)});

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -236,6 +237,37 @@ TEST(VerdictCache, DiskTierSurvivesInstances) {
   ASSERT_TRUE(hit->trace.has_value());
   EXPECT_EQ(hit->trace->horizon, 3);
   EXPECT_EQ(reader.stats().hits, 1u);
+}
+
+TEST(VerdictCache, ReplaceOverwritesDiskRecordStoreDoesNot) {
+  const std::string dir = freshDir("replace");
+  const std::string key(32, 'r');
+  cache::VerdictCacheOptions opts;
+  opts.dir = dir;
+  cache::CachedVerdict first = sampleVerdict();
+  cache::CachedVerdict second = sampleVerdict();
+  second.trace->series["fq.cdeq.0"] = {1, 1, 2};
+  const auto onDisk = [&] {
+    cache::VerdictCache reader(opts);
+    const auto hit = reader.lookup(key);
+    EXPECT_TRUE(hit.has_value() && hit->trace.has_value());
+    return hit && hit->trace ? hit->trace->series.at("fq.cdeq.0")
+                             : std::vector<std::int64_t>{};
+  };
+  cache::VerdictCache writer(opts);
+  writer.store(key, first);
+  writer.flushDisk();
+  // A second store of a key already on disk leaves the record alone...
+  writer.store(key, second);
+  writer.flushDisk();
+  EXPECT_EQ(onDisk(), first.trace->series.at("fq.cdeq.0"));
+  // ...a replace rewrites it, in both tiers.
+  writer.replace(key, second);
+  writer.flushDisk();
+  EXPECT_EQ(onDisk(), second.trace->series.at("fq.cdeq.0"));
+  const auto memory = writer.lookup(key);
+  ASSERT_TRUE(memory.has_value() && memory->trace.has_value());
+  EXPECT_EQ(memory->trace->series, second.trace->series);
 }
 
 TEST(VerdictCache, CorruptDiskRecordReadsAsMissAndIsDeleted) {
@@ -533,6 +565,26 @@ TEST(CacheCli, RaceIsolateColdWarmIdentical) {
   // "cache" member is the sole, winning entrant.
   EXPECT_EQ(jsonField(warm.output, "winner"), "cache") << warm.output;
   EXPECT_EQ(traceBlock(cold.output), traceBlock(warm.output));
+}
+
+TEST(CacheCli, RaceColdWarmIdenticalAcrossModels) {
+  // In-process members share the run's cache and store as they finish;
+  // the record a warm run replays must still be the winner's answer.
+  for (const auto& m : kModels) {
+    const std::string dir =
+        freshDir((std::string("race_") + m.name).c_str());
+    const std::string cmd = std::string("check ") + m.args + " --query \"" +
+                            m.query + "\" --race --cache-dir " + dir +
+                            " --json " + model(m.name);
+    const CommandResult cold = runCli(cmd);
+    const CommandResult warm = runCli(cmd);
+    SCOPED_TRACE(m.name);
+    EXPECT_EQ(jsonField(cold.output, "verdict"),
+              jsonField(warm.output, "verdict"))
+        << cold.output << "\n----\n" << warm.output;
+    EXPECT_EQ(jsonField(warm.output, "winner"), "cache") << warm.output;
+    EXPECT_EQ(traceBlock(cold.output), traceBlock(warm.output));
+  }
 }
 
 TEST(CacheCli, SweepShardsColdWarmIdentical) {

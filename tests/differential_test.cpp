@@ -34,6 +34,16 @@ struct Scenario {
   std::vector<int> q1;
 };
 
+/// Names each case by its model and arrival pattern (e.g. `fq_011_200`).
+/// Without this, gtest prints the raw bytes of `source`, a pointer that
+/// moves with every build, and the discovered test names move with it.
+void PrintTo(const Scenario& sc, std::ostream* os) {
+  *os << sc.inst << '_';
+  for (int n : sc.q0) *os << n;
+  *os << '_';
+  for (int n : sc.q1) *os << n;
+}
+
 class ExhaustiveDifferential : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(ExhaustiveDifferential, SolverMatchesInterpreterExactly) {

@@ -4,6 +4,7 @@
 // trace-identical to a fresh Analysis per query.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,68 @@ TEST(IncrementalSession, DeterministicWorkloadTracesMatchExactly) {
     }
   }
   EXPECT_EQ(session.incrementalQueries(), 3u);
+}
+
+TEST(IncrementalSession, QueryOrderDoesNotChangeAnswers) {
+  // Every query is solved on a fresh solver over its own standalone
+  // problem, so on one engine the §6.1 starvation check (A) and fairness
+  // verify (B) give the same answers in the order A, B as in B, A, and
+  // the same as a fresh engine per query. The query an engine answers
+  // first sees exactly a fresh engine's Z3 context, so its witness trace
+  // is identical too. A later query may get a different (equally valid)
+  // witness: Z3's model choice depends on the AST ids of the shared
+  // context, which depend on what was lowered before. Those witnesses
+  // must still show the property and pass interpreter replay.
+  const Network net = schedulerNet(models::kFairQueueBuggy, "fq", 2);
+  AnalysisOptions opts;
+  opts.horizon = 6;
+  const int last = opts.horizon - 1;
+  const Workload workload = starvationWorkload("fq", opts.horizon);
+  const Query starve =
+      Query::expr("fq.cdeq.1[T-1] <= 1 & fq.cdeq.0[T-1] >= T-1");
+  const Query fair = Query::expr("fq.cdeq.1[T-1] >= 2");
+  const auto engine = [&] {
+    auto analysis = std::make_unique<Analysis>(net, opts);
+    analysis->setWorkload(workload);
+    return analysis;
+  };
+
+  const auto forward = engine();
+  const AnalysisResult starveFirst = forward->check(starve);
+  const AnalysisResult fairSecond = forward->verify(fair);
+  const auto backward = engine();
+  const AnalysisResult fairFirst = backward->verify(fair);
+  const AnalysisResult starveSecond = backward->check(starve);
+  EXPECT_EQ(forward->incrementalQueries(), 2u);
+  EXPECT_EQ(backward->incrementalQueries(), 2u);
+  const AnalysisResult starveFresh = engine()->check(starve);
+  const AnalysisResult fairFresh = engine()->verify(fair);
+
+  const auto sameAnswer = [](const AnalysisResult& a, const AnalysisResult& b,
+                             const char* what) {
+    EXPECT_EQ(a.verdict, b.verdict) << what;
+    EXPECT_EQ(a.detail, b.detail) << what;
+    EXPECT_EQ(a.witnessChecked, b.witnessChecked) << what;
+    EXPECT_EQ(a.trace.has_value(), b.trace.has_value()) << what;
+  };
+  sameAnswer(starveFirst, starveSecond, "starve: A,B vs B,A");
+  sameAnswer(fairSecond, fairFirst, "fair: A,B vs B,A");
+  sameAnswer(starveFirst, starveFresh, "starve: engine vs fresh");
+  sameAnswer(fairFirst, fairFresh, "fair: engine vs fresh");
+  ASSERT_EQ(starveFirst.verdict, Verdict::Satisfiable);
+  ASSERT_EQ(fairFirst.verdict, Verdict::Violated);
+
+  EXPECT_EQ(starveFirst.trace->series, starveFresh.trace->series);
+  EXPECT_EQ(fairFirst.trace->series, fairFresh.trace->series);
+  for (const AnalysisResult* r : {&starveFirst, &starveSecond}) {
+    EXPECT_TRUE(r->witnessChecked);
+    EXPECT_LE(r->trace->at("fq.cdeq.1", last), 1);
+    EXPECT_GE(r->trace->at("fq.cdeq.0", last), last);
+  }
+  for (const AnalysisResult* r : {&fairFirst, &fairSecond}) {
+    EXPECT_TRUE(r->witnessChecked);
+    EXPECT_LT(r->trace->at("fq.cdeq.1", last), 2);
+  }
 }
 
 TEST(IncrementalSession, RebindBuildsEncodingOnDemand) {

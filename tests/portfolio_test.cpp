@@ -255,6 +255,29 @@ TEST(HorizonSweep, ReportIsShardCountInvariant) {
   EXPECT_EQ(sharded.shards, 3u);
 }
 
+TEST(HorizonSweep, ClaimsLargestHorizonFirst) {
+  const Network net = schedulerNet(models::kRoundRobin, "rr", 2, 4, 2);
+  HorizonSweep sweep(net, fastOpts(1));
+  std::vector<int> started;
+  const HorizonSweep::WorkloadFn workloadAt = [&started](int horizon) {
+    started.push_back(horizon);
+    return rrWorkload();
+  };
+  SweepOptions one;
+  one.fromHorizon = 2;
+  one.toHorizon = 4;
+  one.shards = 1;
+  const SweepResult r =
+      sweep.run({Query::expr("rr.cdeq.0[T-1] >= 0")}, workloadAt, one);
+
+  EXPECT_EQ(started, (std::vector<int>{4, 3, 2}));
+  // The report stays in horizon order whatever the claim order.
+  ASSERT_EQ(r.points.size(), 3u);
+  for (std::size_t i = 0; i < r.points.size(); ++i) {
+    EXPECT_EQ(r.points[i].horizon, 2 + static_cast<int>(i));
+  }
+}
+
 TEST(HorizonSweep, RejectsEmptyAndBackwardRanges) {
   const Network net = schedulerNet(models::kRoundRobin, "rr", 2, 4, 2);
   HorizonSweep sweep(net, fastOpts(1));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/analysis.hpp"
+#include "helpers.hpp"
 #include "support/error.hpp"
 
 namespace buffy::backends {
@@ -233,6 +235,42 @@ TEST_F(Z3Test, InterruptIsPermanentAndCanceledResultsSayWhy) {
   EXPECT_TRUE(backend.check(cs).canceled);
   auto session = backend.openSession();
   EXPECT_TRUE(session->check(cs).canceled);
+}
+
+TEST_F(Z3Test, InterruptBeforeFirstQueryCancelsEveryPath) {
+  // The Z3 context is created on the first query, so a fresh backend has
+  // none when it is interrupted: that must not crash, and every later
+  // query path must report a cancellation rather than solve.
+  Z3Backend fresh;
+  fresh.interrupt();
+  EXPECT_TRUE(fresh.interrupted());
+  const std::vector<ir::TermRef> cs = {arena.trueTerm()};
+  EXPECT_TRUE(fresh.check(cs).canceled);
+  const auto viaText = fresh.checkSmtLib("(assert true)");
+  EXPECT_EQ(viaText.status, SolveStatus::Unknown);
+  EXPECT_TRUE(viaText.canceled);
+  const auto session = fresh.openSession(cs);
+  EXPECT_TRUE(session->check(cs).canceled);
+}
+
+TEST(Z3LazyContext, WarmCacheHitNeverReachesTheSolver) {
+  core::AnalysisOptions opts;
+  opts.horizon = 3;
+  opts.cache = std::make_shared<cache::VerdictCache>();
+  const core::Query query = core::Query::expr("fq.cdeq.0[T-1] >= 1");
+  const core::Network net =
+      buffy::testing::schedulerNet(models::kFairQueueBuggy, "fq", 2);
+
+  core::Analysis cold(net, opts);
+  const core::AnalysisResult first = cold.check(query);
+  EXPECT_FALSE(first.cached);
+  EXPECT_EQ(cold.incrementalQueries(), 1u);
+
+  core::Analysis warm(net, opts);
+  const core::AnalysisResult second = warm.check(query);
+  EXPECT_TRUE(second.cached);
+  EXPECT_EQ(second.verdict, first.verdict);
+  EXPECT_EQ(warm.incrementalQueries(), 0u);
 }
 
 TEST_F(Z3Test, SessionBudgetOverridePerQuery) {
