@@ -1,8 +1,8 @@
 #include "backends/smtlib/smtlib_emitter.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
@@ -115,54 +115,77 @@ class Emitter {
            t->kind == ir::TermKind::ConstBool || t->kind == ir::TermKind::Var;
   }
 
-  /// Shared non-leaf nodes get a `$t<id>` name (Let and Define modes).
+  /// Shared non-leaf nodes get a `$t<n>` name (Let and Define modes).
   [[nodiscard]] bool shared(ir::TermRef t) const {
     return !isLeaf(t) && options_.sharing != SmtLibSharing::Expand &&
            refs_.at(t) > 1;
   }
 
+  /// The next binding name. Names count bindings in the order the text
+  /// introduces them, never arena term ids, so the same problem renders
+  /// to the same text whatever else its arena holds.
+  std::string nextName() { return "$t" + std::to_string(nextName_++); }
+
   /// Let mode: one assertion becomes a nested-let chain. Shared nodes
-  /// reachable from `root` are bound innermost-out in ascending id order —
-  /// hash-consing guarantees argument ids are smaller than the parent's,
-  /// so every binding's definition only references earlier bindings.
+  /// reachable from `root` are bound innermost-out in post order (arguments
+  /// left to right), so every binding's definition only references earlier
+  /// bindings.
   /// `let` is purely syntactic, so unlike Define mode no auxiliary
   /// constants leak into models, and unlike define-fun macros the binding
   /// is not expanded at parse time (the text AND the parsed term stay
   /// linear in the DAG size).
   std::string renderWithLets(ir::TermRef root) {
     std::vector<ir::TermRef> bound;
-    std::vector<ir::TermRef> stack{root};
+    std::vector<std::pair<ir::TermRef, bool>> stack{{root, false}};
     std::unordered_set<const ir::Term*> seen;
     while (!stack.empty()) {
-      const ir::TermRef t = stack.back();
+      const auto [t, argsDone] = stack.back();
       stack.pop_back();
+      if (argsDone) {
+        if (shared(t)) bound.push_back(t);
+        continue;
+      }
       if (!seen.insert(t).second) continue;
-      if (shared(t)) bound.push_back(t);
-      for (const ir::TermRef arg : t->args) stack.push_back(arg);
+      stack.emplace_back(t, true);
+      for (auto arg = t->args.rbegin(); arg != t->args.rend(); ++arg) {
+        stack.emplace_back(*arg, false);
+      }
     }
-    std::sort(bound.begin(), bound.end(),
-              [](ir::TermRef a, ir::TermRef b) { return a->id < b->id; });
 
     names_.clear();  // let bindings are scoped to this assertion
     std::string lets;
     for (const ir::TermRef t : bound) {
-      const std::string name = "$t" + std::to_string(t->id);
+      const std::string name = nextName();
       lets += "(let ((" + name + " ";
       // Render the definition *before* naming t, then register the name so
       // later definitions (and the body) reference it.
-      std::string def = "(";
-      def += opName(t->kind);
-      for (const ir::TermRef arg : t->args) {
-        def += ' ';
-        def += render(arg);
-      }
-      def += ')';
-      lets += def + ")) ";
+      lets += apply(t) + ")) ";
       names_.emplace(t, name);
     }
     std::string out = lets + render(root);
     out.append(bound.size(), ')');
     return out;
+  }
+
+  /// `(op arg...)` for an operator node. A divisor that is not a nonzero
+  /// constant is guarded as the Z3 lowering guards it: the IR defines
+  /// `x div 0` and `x mod 0` as 0, where SMT-LIB leaves them unspecified.
+  std::string apply(ir::TermRef t) {
+    std::string out = "(";
+    out += opName(t->kind);
+    for (const ir::TermRef arg : t->args) {
+      out += ' ';
+      out += render(arg);
+    }
+    out += ')';
+    if (t->kind != ir::TermKind::Div && t->kind != ir::TermKind::Mod) {
+      return out;
+    }
+    const ir::TermRef divisor = t->args[1];
+    if (divisor->kind == ir::TermKind::ConstInt && divisor->value != 0) {
+      return out;
+    }
+    return "(ite (= " + render(divisor) + " 0) 0 " + out + ")";
   }
 
   /// Renders a term; in Define mode, nodes with fan-out > 1 become
@@ -184,19 +207,13 @@ class Emitter {
     const auto named = names_.find(t);
     if (named != names_.end()) return named->second;
 
-    std::string inner = "(";
-    inner += opName(t->kind);
-    for (const ir::TermRef arg : t->args) {
-      inner += ' ';
-      inner += render(arg);
-    }
-    inner += ')';
+    const std::string inner = apply(t);
 
     if (options_.sharing == SmtLibSharing::Define && refs_.at(t) > 1) {
       // Definitional naming (declare + assert equality) rather than
       // define-fun: SMT-LIB parsers expand define-fun macros eagerly, which
       // blows nested shared terms up exponentially at parse time.
-      const std::string name = "$t" + std::to_string(t->id);
+      const std::string name = nextName();
       body_ += "(declare-const " + name +
                (t->sort == ir::Sort::Int ? " Int)\n" : " Bool)\n");
       body_ += "(assert (= " + name + " " + inner + "))\n";
@@ -211,6 +228,7 @@ class Emitter {
   std::unordered_map<const ir::Term*, std::string> names_;
   std::vector<ir::TermRef> varsInOrder_;
   std::string body_;
+  std::size_t nextName_ = 0;
 };
 
 }  // namespace

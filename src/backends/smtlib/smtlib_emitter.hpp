@@ -15,7 +15,7 @@ namespace buffy::backends {
 /// How shared DAG nodes (fan-out > 1) are rendered.
 enum class SmtLibSharing {
   /// Nested `(let (($tN expr)) ...)` chains inside each assertion, bound
-  /// in ascending id order so definitions precede uses. Purely syntactic
+  /// in post order so definitions precede uses. Purely syntactic
   /// sharing: no auxiliary constants appear in models, and the text stays
   /// linear in the DAG size.
   Let,

@@ -10,6 +10,7 @@
 #include <z3++.h>
 
 #include "backends/z3/z3_lowering.hpp"
+#include "ir/finite_domain.hpp"
 #include "support/error.hpp"
 
 namespace buffy::backends {
@@ -63,6 +64,31 @@ std::uint64_t readRlimit(z3::solver& solver) {
 bool reasonMeansCanceled(const std::string& reason) {
   return reason.find("cancel") != std::string::npos ||
          reason.find("interrupt") != std::string::npos;
+}
+
+void requireBoolean(std::span<const ir::TermRef> constraints) {
+  for (const ir::TermRef c : constraints) {
+    if (c->sort != ir::Sort::Bool) {
+      throw BackendError("constraint is not boolean");
+    }
+  }
+}
+
+/// The finite-domain step (DESIGN.md §7): decides `problem` by exhaustive
+/// evaluation when ir::decideFiniteDomain applies, nullopt otherwise.
+std::optional<SolveResult> enumerate(std::span<const ir::TermRef> problem) {
+  const auto start = std::chrono::steady_clock::now();
+  auto answer = ir::decideFiniteDomain(problem);
+  if (!answer) return std::nullopt;
+  SolveResult result;
+  result.status = answer->sat ? SolveStatus::Sat : SolveStatus::Unsat;
+  result.model = std::move(answer->model);
+  result.engine = "enumerate";
+  result.points = answer->points;
+  result.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return result;
 }
 
 SolveResult canceledResult() {
@@ -215,15 +241,13 @@ struct Z3Backend::Impl {
     return result;
   }
 
-  /// Lowers boolean constraints through `memo` (the memoized lowering
-  /// shared with the CHC backend) and appends them to `out`.
+  /// Lowers boolean constraints (callers run requireBoolean first)
+  /// through `memo` (the memoized lowering shared with the CHC backend)
+  /// and appends them to `out`.
   void lowerAll(std::span<const ir::TermRef> constraints,
                 std::unordered_map<const ir::Term*, z3::expr>& memo,
                 std::vector<z3::expr>& out) {
     for (const ir::TermRef c : constraints) {
-      if (c->sort != ir::Sort::Bool) {
-        throw BackendError("constraint is not boolean");
-      }
       out.push_back(lowerTerm(ctx(), c, memo));
     }
   }
@@ -274,7 +298,10 @@ struct Z3Backend::Session::Impl {
   /// Persists across queries: terms lowered for one query are reused by
   /// every later query on the same arena.
   std::unordered_map<const ir::Term*, z3::expr> memo;
-  /// The lowered base constraints, added to every query's fresh solver.
+  /// The base constraints as IR (what the finite-domain step decides,
+  /// with each query's extra constraints) and lowered (added to every
+  /// query's fresh solver).
+  std::vector<ir::TermRef> irBase;
   std::vector<z3::expr> base;
   std::size_t queries = 0;
 
@@ -290,8 +317,11 @@ void Z3Backend::Session::assertBase(
     std::span<const ir::TermRef> constraints) {
   Z3Backend::Impl* backend = impl_->backend;
   if (backend->cancelled.load()) return;  // engine is being torn down
+  requireBoolean(constraints);
   try {
     backend->lowerAll(constraints, impl_->memo, impl_->base);
+    impl_->irBase.insert(impl_->irBase.end(), constraints.begin(),
+                         constraints.end());
   } catch (const z3::exception& e) {
     if (backend->cancelled.load()) return;
     throw BackendError(std::string("z3: ") + e.msg());
@@ -304,6 +334,10 @@ SolveResult Z3Backend::Session::check(
   Z3Backend::Impl* backend = impl_->backend;
   if (!backend->cancelled.load()) ++impl_->queries;
   return backend->guardedQuery("z3: ", [&] {
+    requireBoolean(extra);
+    std::vector<ir::TermRef> problem = impl_->irBase;
+    problem.insert(problem.end(), extra.begin(), extra.end());
+    if (auto decided = enumerate(problem)) return std::move(*decided);
     std::vector<z3::expr> assertions = impl_->base;
     backend->lowerAll(extra, impl_->memo, assertions);
     return backend->solveFresh(assertions,
@@ -336,6 +370,8 @@ std::unique_ptr<Z3Backend::Session> Z3Backend::openSession(
 SolveResult Z3Backend::check(std::span<const ir::TermRef> constraints,
                              SolveBudget budget) {
   return impl_->guardedQuery("z3: ", [&] {
+    requireBoolean(constraints);
+    if (auto decided = enumerate(constraints)) return std::move(*decided);
     std::unordered_map<const ir::Term*, z3::expr> memo;
     std::vector<z3::expr> assertions;
     impl_->lowerAll(constraints, memo, assertions);

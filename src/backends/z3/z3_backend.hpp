@@ -2,7 +2,7 @@
 // the native Z3 C++ API (the paper's primary backend, §4) and runs
 // satisfiability / verification queries.
 //
-// Every query is solved on a fresh solver built from one fixed
+// Every query Z3 answers is solved on a fresh solver built from one fixed
 // preprocessing tactic chain (DESIGN.md §7), so no query sees another's
 // assertions or learned state. Two usage modes:
 //  * one-shot check() — lower + solve from scratch (ablations, simple uses);
@@ -10,14 +10,21 @@
 //    across queries. Terms lowered for one query are reused by the next;
 //    each check() solves base ∧ extra on its own fresh solver.
 //
-// The z3::context is created on the first lower, check or parse, so a
-// backend that is never asked a query (e.g. a cache-answered engine) costs
-// no Z3 state.
+// Both IR entry points first try the finite-domain step (DESIGN.md §7,
+// ir/finite_domain.hpp): a problem whose free variables all have small
+// finite boxes is decided by exhaustive evaluation and never reaches Z3.
+// checkSmtLib always uses Z3, which makes it the independent reference
+// for every enumerated answer.
 //
-// Resilience (DESIGN.md §8): every query runs under a SolveBudget
-// (wall-clock timeout, Z3 rlimit, memory cap, random seed), queries can be
-// cooperatively cancelled from another thread via interrupt(), and a
-// test-only FaultPlan can inject deterministic failures.
+// The z3::context is created on the first lower, check or parse that
+// needs it, so a backend that is never asked a query Z3 must answer (a
+// cache-answered or fully enumerated engine) costs no Z3 state.
+//
+// Resilience (DESIGN.md §8): every Z3 query runs under a SolveBudget
+// (wall-clock timeout, Z3 rlimit, memory cap, random seed; an enumerated
+// query's work is capped by ir::kFiniteDomainWorkBound instead), queries
+// can be cooperatively cancelled from another thread via interrupt(), and
+// a test-only FaultPlan can inject deterministic failures.
 #pragma once
 
 #include <chrono>
@@ -78,6 +85,11 @@ struct SolveResult {
   /// interrupt() rather than because the solver gave up — retry ladders
   /// must not re-run cancelled queries.
   bool canceled = false;
+  /// Which engine answered: "z3", or "enumerate" when the finite-domain
+  /// step decided the query by exhaustive evaluation (DESIGN.md §7).
+  std::string engine = "z3";
+  /// Points the finite-domain step evaluated (engine "enumerate" only).
+  std::uint64_t points = 0;
   /// Test-only fault-injection tag (FaultAction::Kind::CorruptWitness):
   /// instructs the analysis layer to perturb the extracted witness trace
   /// so the replay cross-check can be exercised deterministically.
@@ -102,9 +114,9 @@ class Z3Backend {
     /// Adds constraints to the base every later query is solved under.
     void assertBase(std::span<const ir::TermRef> constraints);
 
-    /// Checks base ∧ extra on a fresh solver; the extra constraints do not
-    /// outlive the query. `budget` overrides the session default for this
-    /// query only.
+    /// Checks base ∧ extra: by the finite-domain step when it applies,
+    /// else on a fresh solver. The extra constraints do not outlive the
+    /// query. `budget` overrides the session default for this query only.
     SolveResult check(std::span<const ir::TermRef> extra,
                       const std::optional<SolveBudget>& budget = std::nullopt);
 
@@ -130,8 +142,9 @@ class Z3Backend {
   std::unique_ptr<Session> openSession(std::span<const ir::TermRef> base = {},
                                        SolveBudget budget = {});
 
-  /// Checks satisfiability of the conjunction of `constraints` (one-shot:
-  /// fresh solver, fresh lowering).
+  /// Checks satisfiability of the conjunction of `constraints`: by the
+  /// finite-domain step when it applies, else one-shot (fresh solver,
+  /// fresh lowering).
   SolveResult check(std::span<const ir::TermRef> constraints,
                     SolveBudget budget = {});
 

@@ -442,6 +442,8 @@ struct Analysis::Impl {
     attempt.reason = sr.reason;
     attempt.seconds = sr.seconds;
     attempt.rlimitUsed = sr.rlimitUsed;
+    attempt.engine = sr.engine;
+    attempt.points = sr.points;
     attempt.seed = budget.randomSeed;
     attempt.timeoutMs = budget.timeoutMs;
     attempts.push_back(attempt);

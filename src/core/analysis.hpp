@@ -146,6 +146,11 @@ struct SolveAttempt {
   double seconds = 0.0;
   /// Z3 resource units consumed by this attempt (best-effort).
   std::uint64_t rlimitUsed = 0;
+  /// Which engine answered: "z3", or "enumerate" when the finite-domain
+  /// step decided the query without Z3 (DESIGN.md §7).
+  std::string engine = "z3";
+  /// Points the finite-domain step evaluated (engine "enumerate" only).
+  std::uint64_t points = 0;
   /// Random seed the attempt ran with, if pinned.
   std::optional<unsigned> seed;
   /// Wall-clock budget the attempt ran with, if any.

@@ -227,6 +227,8 @@ std::string encodeAttempt(const core::SolveAttempt& attempt) {
   map.set("reason", attempt.reason);
   map.setDouble("seconds", attempt.seconds);
   map.setUint("rlimitUsed", attempt.rlimitUsed);
+  map.set("engine", attempt.engine);
+  map.setUint("points", attempt.points);
   setMaybeUint(map, "seed", attempt.seed);
   setMaybeUint(map, "timeoutMs", attempt.timeoutMs);
   return map.encode();
@@ -240,6 +242,8 @@ core::SolveAttempt decodeAttempt(const std::string& bytes) {
   attempt.reason = map.get("reason");
   attempt.seconds = map.getDouble("seconds");
   attempt.rlimitUsed = map.getUint("rlimitUsed");
+  attempt.engine = map.get("engine");
+  attempt.points = map.getUint("points");
   attempt.seed = getMaybeUint(map, "seed");
   attempt.timeoutMs = getMaybeUint(map, "timeoutMs");
   return attempt;

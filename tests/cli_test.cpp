@@ -105,6 +105,32 @@ TEST(Cli, CheckFindsStarvation) {
   EXPECT_NE(result.output.find("fq.cdeq.0"), std::string::npos);
 }
 
+TEST(Cli, AttemptsNameTheEngineThatAnswered) {
+  // The §6.1 check pins queue 1, so its box is small and the finite-domain
+  // step answers it without Z3; with queue 1 free at T=6 the box is too
+  // large and the query reaches Z3.
+  const std::string args =
+      "check -T 5 -D N=2 --instance fq --input ibs:6:3 --output ob:32 "
+      "--workload fq.ibs.0:0:1 --query \"fq.cdeq.1[T-1] <= 1\" ";
+  const auto pinned =
+      runCli(args + "--workload fq.ibs.1:0:0 --json " + model("fq_buggy.bfy"));
+  EXPECT_EQ(pinned.exitCode, 0) << pinned.output;
+  EXPECT_NE(pinned.output.find("\"engine\":\"enumerate\",\"points\":"),
+            std::string::npos)
+      << pinned.output;
+  const auto text = runCli(args + "--workload fq.ibs.1:0:0 --stage-timings " +
+                           model("fq_buggy.bfy"));
+  EXPECT_NE(text.output.find("  engine: enumerate ("), std::string::npos)
+      << text.output;
+  const auto free = runCli(
+      "check -T 6 -D N=2 --instance fq --input ibs:6:3 --output ob:32 "
+      "--query \"fq.cdeq.1[T-1] <= 1\" --json " +
+      model("fq_buggy.bfy"));
+  EXPECT_EQ(free.exitCode, 0) << free.output;
+  EXPECT_NE(free.output.find("\"engine\":\"z3\""), std::string::npos)
+      << free.output;
+}
+
 TEST(Cli, VerifyRoundRobinFairness) {
   const auto result = runCli(
       "verify -T 4 -D N=2 --instance rr --input ibs:6:2 --output ob:32 "

@@ -1,8 +1,10 @@
 // Exhaustive differential testing: for every concrete workload in a small
-// space, the interpreter's trace and the Z3 backend must agree exactly.
+// space, the interpreter's trace and the solvers must agree exactly.
 // This closes the loop between the two consumers of the symbolic
 // evaluator — constant folding (simulation) and solving — and between the
-// Buffy pipeline and the hand-written FPerf baseline.
+// Buffy pipeline and the hand-written FPerf baseline. These problems are
+// small enough for the native path's finite-domain step, so each query is
+// also answered through solveViaSmtLib, which always runs Z3.
 #include <gtest/gtest.h>
 
 #include "fperf/fperf_common.hpp"
@@ -78,9 +80,17 @@ TEST_P(ExhaustiveDifferential, SolverMatchesInterpreterExactly) {
   }
   Analysis positive(net, opts);
   positive.setWorkload(exactWorkload(sc.inst, sc.q0, sc.q1));
-  EXPECT_EQ(positive.check(Query::expr(exactQuery)).verdict,
-            Verdict::Satisfiable)
-      << exactQuery;
+  const AnalysisResult native = positive.check(Query::expr(exactQuery));
+  EXPECT_EQ(native.verdict, Verdict::Satisfiable) << exactQuery;
+  ASSERT_FALSE(native.attempts.empty());
+  EXPECT_EQ(native.attempts.back().engine, "enumerate");
+  const AnalysisResult viaZ3 =
+      positive.solveViaSmtLib(Query::expr(exactQuery), false);
+  ASSERT_EQ(viaZ3.verdict, Verdict::Satisfiable) << exactQuery;
+  for (const auto& [series, values] : truth.series) {
+    if (series.find(".cdeq.") == std::string::npos) continue;
+    EXPECT_EQ(viaZ3.trace->series.at(series), values) << series;
+  }
 
   // 3. ...and any deviation in the final counters unreachable
   //    (the workload is deterministic).
@@ -91,6 +101,9 @@ TEST_P(ExhaustiveDifferential, SolverMatchesInterpreterExactly) {
   Analysis negative(net, opts);
   negative.setWorkload(exactWorkload(sc.inst, sc.q0, sc.q1));
   EXPECT_EQ(negative.check(Query::expr(wrong)).verdict,
+            Verdict::Unsatisfiable)
+      << wrong;
+  EXPECT_EQ(negative.solveViaSmtLib(Query::expr(wrong), false).verdict,
             Verdict::Unsatisfiable)
       << wrong;
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "backends/z3/z3_backend.hpp"
+#include "core/analysis.hpp"
+#include "helpers.hpp"
 #include "support/error.hpp"
 
 namespace buffy::backends {
@@ -153,6 +155,46 @@ TEST_P(RoundTrip, EmitReparseAgreesWithNative) {
       EXPECT_EQ(ir::evalTerm(c, reparsed.model), 1);
     }
   }
+}
+
+// The IR defines x div 0 = x mod 0 = 0, as the native lowering does;
+// SMT-LIB leaves division by zero unspecified, so the text guards it.
+TEST_F(SmtLibTest, DivisionByZeroKeepsIrSemantics) {
+  const ir::TermRef x = arena.var("x", ir::Sort::Int);
+  const ir::TermRef y = arena.var("y", ir::Sort::Int);
+  Z3Backend backend;
+  SmtLibOptions opts;
+  opts.checkSat = false;
+  for (const ir::TermRef q : {arena.div(x, y), arena.mod(x, y)}) {
+    const std::vector<ir::TermRef> cs = {arena.eq(y, arena.intConst(0)),
+                                         arena.eq(q, arena.intConst(5))};
+    EXPECT_EQ(backend.check(cs).status, SolveStatus::Unsat);
+    EXPECT_EQ(backend.checkSmtLib(emitSmtLib(cs, opts)).status,
+              SolveStatus::Unsat);
+  }
+}
+
+// Binding names follow the text, not arena term ids: the script for a
+// query is byte-identical on a fresh engine and on one whose arena already
+// holds another query's terms.
+TEST(SmtLibExport, TextDoesNotDependOnEarlierQueries) {
+  const core::Network net =
+      buffy::testing::schedulerNet(models::kFairQueueBuggy, "fq", 2);
+  core::AnalysisOptions opts;
+  opts.horizon = 6;
+  const core::Query starve =
+      core::Query::expr("fq.cdeq.1[T-1] <= 1 & fq.cdeq.0[T-1] >= T-1");
+  const core::Query fair = core::Query::expr("fq.cdeq.1[T-1] >= 2");
+
+  core::Analysis fresh(net, opts);
+  fresh.setWorkload(buffy::testing::starvationWorkload("fq", opts.horizon));
+  const std::string expected = fresh.toSmtLib(starve, false);
+
+  core::Analysis used(net, opts);
+  used.setWorkload(buffy::testing::starvationWorkload("fq", opts.horizon));
+  ASSERT_EQ(used.verify(fair).verdict, core::Verdict::Violated);
+  EXPECT_EQ(used.toSmtLib(starve, false), expected);
+  EXPECT_NE(expected.find("(let (($t0 "), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundTrip,

@@ -190,12 +190,15 @@ TEST_F(Z3Test, LargeDagLowersStackSafely) {
 // --- Resilience layer (DESIGN.md §8) --------------------------------
 
 TEST_F(Z3Test, BudgetReportsRlimitConsumption) {
+  // `x` has no upper bound, so the finite-domain step declines and the
+  // query reaches Z3 (a bounded `x == 7` would be enumerated, at 0 rlimit).
   const ir::TermRef x = arena.var("x", ir::Sort::Int);
-  const std::vector<ir::TermRef> cs = {arena.eq(x, arena.intConst(7))};
+  const std::vector<ir::TermRef> cs = {arena.gt(x, arena.intConst(7))};
   SolveBudget budget;
   budget.rlimit = 100000000;
   const auto result = backend.check(cs, budget);
   ASSERT_EQ(result.status, SolveStatus::Sat);
+  EXPECT_EQ(result.engine, "z3");
   EXPECT_GT(result.rlimitUsed, 0u);
 }
 

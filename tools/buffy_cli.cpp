@@ -797,6 +797,10 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
       json += ",\"seconds\":";
       json += secs;
       json += ",\"rlimitUsed\":" + std::to_string(a.rlimitUsed);
+      json += ",\"engine\":\"" + jsonEscape(a.engine) + "\"";
+      if (a.engine == "enumerate") {
+        json += ",\"points\":" + std::to_string(a.points);
+      }
       if (a.seed) json += ",\"seed\":" + std::to_string(*a.seed);
       if (a.timeoutMs) {
         json += ",\"timeoutMs\":" + std::to_string(*a.timeoutMs);
@@ -918,6 +922,15 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
   }
   if (opts.stageTimings && !result.pipeline.empty()) {
     std::printf("  pipeline:\n%s", result.pipeline.render().c_str());
+  }
+  if (opts.stageTimings && !result.attempts.empty()) {
+    const auto& a = result.attempts.back();
+    if (a.engine == "enumerate") {
+      std::printf("  engine: enumerate (%llu points)\n",
+                  static_cast<unsigned long long>(a.points));
+    } else {
+      std::printf("  engine: %s\n", a.engine.c_str());
+    }
   }
   if (result.opt) {
     std::printf("  opt: %zu -> %zu nodes, %zu -> %zu assertions"
