@@ -1,13 +1,14 @@
-// Fuzz target: the wire decoder surface a remote peer controls
-// (DESIGN.md §15). The --serve loop hands every checksum-valid payload
-// to WireMap::decode and then to the job/result codecs, so those decoders
-// face fully attacker-chosen bytes; readFrame itself faces attacker-chosen
-// headers (magic, forged lengths, bad checksums) over the socket.
+// Fuzz target: the wire decoder surface of the worker pipe (DESIGN.md
+// §13). The supervisor and the `buffy --worker` loop hand every
+// checksum-valid payload to WireMap::decode and then to the job/result
+// codecs, so those decoders must survive arbitrary bytes from a worker
+// that crashed mid-write or corrupted its reply; readFrame itself faces
+// arbitrary headers (magic, forged lengths, bad checksums) on the pipe.
 //
 // Invariant: the only exception that may escape is ProtocolError (a
 // buffy::Error subclass) — anything else (std::bad_alloc from a forged
 // entry count, std::out_of_range, length overflow, sanitizer report) is a
-// bug in the decoder, exploitable by any connected peer.
+// bug in the decoder.
 #include <unistd.h>
 
 #include <cstddef>
@@ -20,7 +21,7 @@
 
 namespace {
 
-/// Feeds raw bytes through a pipe into readFrame, exactly as a socket
+/// Feeds raw bytes through a pipe into readFrame, exactly as a worker
 /// would deliver them: a closed write end is the EOF/torn-frame case.
 void fuzzReadFrame(const std::uint8_t* data, std::size_t size) {
   int fds[2];

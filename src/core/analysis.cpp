@@ -359,11 +359,13 @@ struct Analysis::Impl {
   Trace traceFromModel(Encoding& enc, const ir::Assignment& model) {
     Trace trace;
     trace.horizon = enc.horizon;
+    // One memo for the whole trace: series and steps share DAG prefixes.
+    ir::EvalMemo memo;
     for (const auto& [name, terms] : enc.series) {
       std::vector<std::int64_t> values;
       values.reserve(terms.size());
       for (const ir::TermRef term : terms) {
-        values.push_back(ir::evalTerm(term, model));
+        values.push_back(ir::evalTerm(term, model, memo));
       }
       trace.series[name] = std::move(values);
     }

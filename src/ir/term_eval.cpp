@@ -1,6 +1,5 @@
 #include "ir/term_eval.hpp"
 
-#include <unordered_map>
 #include <vector>
 
 #include "support/error.hpp"
@@ -15,7 +14,12 @@ std::int64_t wrap(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 }  // namespace
 
 std::int64_t evalTerm(TermRef term, const Assignment& assignment) {
-  std::unordered_map<const Term*, std::int64_t> memo;
+  EvalMemo memo;
+  return evalTerm(term, assignment, memo);
+}
+
+std::int64_t evalTerm(TermRef term, const Assignment& assignment,
+                      EvalMemo& memo) {
   std::vector<TermRef> stack{term};
   while (!stack.empty()) {
     const TermRef t = stack.back();

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 
 #include "ir/term.hpp"
 
@@ -16,8 +17,17 @@ namespace buffy::ir {
 /// don't-care variables).
 using Assignment = std::map<std::string, std::int64_t>;
 
+/// Values of already-evaluated terms under one assignment.
+using EvalMemo = std::unordered_map<const Term*, std::int64_t>;
+
 /// Evaluates `term` under `assignment`. Iterative (stack-safe) and
 /// memoized per call.
 [[nodiscard]] std::int64_t evalTerm(TermRef term, const Assignment& assignment);
+
+/// Same, reusing `memo` across calls: evaluating many terms that share
+/// sub-DAGs under one assignment (a trace's series) walks each shared
+/// node once. `memo` must only ever be used with this one assignment.
+[[nodiscard]] std::int64_t evalTerm(TermRef term, const Assignment& assignment,
+                                    EvalMemo& memo);
 
 }  // namespace buffy::ir

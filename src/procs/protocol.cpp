@@ -272,7 +272,7 @@ WireMap WireMap::decode(std::string_view bytes) {
   const std::uint32_t count = u32();
   // An entry needs at least two length words; a count the remaining bytes
   // cannot possibly hold is forged, not merely truncated — reject it
-  // before looping (network peers are untrusted, DESIGN.md §15).
+  // before looping (a torn or corrupt frame is untrusted input).
   if (count > (bytes.size() - off) / 8) {
     throw ProtocolError("wire payload entry count exceeds payload size");
   }

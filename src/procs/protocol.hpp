@@ -56,10 +56,11 @@ bool writeFrame(int fd, std::string_view payload);
 /// Reads one frame from `fd` into `payload`. `deadlineMs` < 0 blocks
 /// forever (the worker side); otherwise the whole frame must arrive within
 /// the deadline or the read reports Timeout. `maxPayload` caps how large a
-/// payload the header may promise before the frame is Garbled — remote
-/// peers are untrusted, so the TCP transport reads the pre-handshake hello
-/// with a small cap instead of letting an arbitrary peer demand a 64 MiB
-/// allocation with 12 forged bytes.
+/// payload the header may promise before the frame is Garbled. The worker
+/// pipe's peer is a child that may die mid-write or corrupt its reply, so
+/// a header is untrusted until its checksum verifies; a caller expecting
+/// only small frames can pass a small cap so 12 corrupt bytes cannot demand
+/// a 64 MiB allocation.
 ReadStatus readFrame(int fd, std::string& payload, int deadlineMs,
                      std::uint32_t maxPayload = kMaxFramePayload);
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -34,6 +35,11 @@ struct ModelConfig {
   const char* args;   // horizon, constants, buffer roles
   const char* query;  // emit-smt2 query (emit-dafny ignores it)
 };
+
+/// Names each case by its model. Without this, gtest prints the raw bytes
+/// of the struct, pointers that move with every build, and the discovered
+/// test names move with them.
+void PrintTo(const ModelConfig& m, std::ostream* os) { *os << m.name; }
 
 // One deterministic configuration per example model. Horizons are kept
 // small so the snapshots stay reviewable; constants match the values the
