@@ -1,9 +1,10 @@
 #include "backends/chc/chc_backend.hpp"
 
-#include <chrono>
+#include <algorithm>
 
 #include <z3++.h>
 
+#include "backends/chc/steps.hpp"
 #include "backends/z3/z3_lowering.hpp"
 #include "support/error.hpp"
 
@@ -14,6 +15,15 @@ const char* chcStatusName(ChcStatus status) {
     case ChcStatus::Proved: return "PROVED";
     case ChcStatus::Violated: return "VIOLATED";
     case ChcStatus::Unknown: return "UNKNOWN";
+  }
+  return "?";
+}
+
+const char* chcStepName(ChcStep step) {
+  switch (step) {
+    case ChcStep::Induction: return "induction";
+    case ChcStep::Search: return "search";
+    case ChcStep::Spacer: return "spacer";
   }
   return "?";
 }
@@ -38,6 +48,9 @@ ChcInterruptHandle::Registration::Registration(ChcInterruptHandle* handle,
   if (!handle_) return;
   const std::lock_guard<std::mutex> lock(handle_->mu_);
   handle_->activeCtx_ = ctx;
+  // interrupt() sets the flag before it takes the lock, so an interrupt
+  // that found no context registered is seen here.
+  if (handle_->interrupted()) static_cast<z3::context*>(ctx)->interrupt();
 }
 
 ChcInterruptHandle::Registration::~Registration() {
@@ -46,18 +59,23 @@ ChcInterruptHandle::Registration::~Registration() {
   handle_->activeCtx_ = nullptr;
 }
 
-ChcResult proveSafety(const core::TransitionSystem& system,
-                      ir::TermRef property,
-                      std::optional<unsigned> timeoutMs,
-                      ChcInterruptHandle* interrupt) {
-  if (property->sort != ir::Sort::Bool) {
-    throw BackendError("chc: property must be boolean");
-  }
+namespace {
+
+ChcResult interruptedResult(ChcStep step) {
+  ChcResult result;
+  result.step = step;
+  result.detail = "interrupted";
+  return result;
+}
+
+/// Spacer on the CHC encoding of the system, in a context of its own with
+/// nothing else lowered into it (DESIGN.md §17).
+ChcResult proveWithSpacer(const core::TransitionSystem& system,
+                          ir::TermRef property,
+                          std::optional<unsigned> timeoutMs,
+                          ChcInterruptHandle* interrupt) {
   if (interrupt && interrupt->interrupted()) {
-    ChcResult result;
-    result.status = ChcStatus::Unknown;
-    result.detail = "interrupted";
-    return result;
+    return interruptedResult(ChcStep::Spacer);
   }
   try {
     z3::context ctx;
@@ -141,13 +159,14 @@ ChcResult proveSafety(const core::TransitionSystem& system,
                   ctx.str_symbol(("assert" + std::to_string(i)).c_str()));
     }
 
+    // fp.query clears an interrupt that reached the context before the
+    // query began (building the rules takes milliseconds), so look again.
+    if (interrupt && interrupt->interrupted()) {
+      return interruptedResult(ChcStep::Spacer);
+    }
     ChcResult result;
-    const auto start = std::chrono::steady_clock::now();
     z3::expr query = bad();
     const z3::check_result status = fp.query(query);
-    result.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
     switch (status) {
       case z3::sat:
         result.status = ChcStatus::Violated;  // Bad is reachable
@@ -164,9 +183,21 @@ ChcResult proveSafety(const core::TransitionSystem& system,
     }
     return result;
   } catch (const z3::exception& e) {
+    // Spacer reports a spent timeout or an interrupt by throwing
+    // "canceled" rather than answering unknown.
+    if (interrupt && interrupt->interrupted()) {
+      return interruptedResult(ChcStep::Spacer);
+    }
+    if (std::string(e.msg()) == "canceled") {
+      ChcResult result;
+      result.detail = "timeout";
+      return result;
+    }
     throw BackendError(std::string("z3 (spacer): ") + e.msg());
   }
 }
+
+}  // namespace
 
 UnboundedAnalysis::UnboundedAnalysis(core::Network network,
                                      core::TransitionOptions options)
@@ -181,11 +212,80 @@ ChcResult UnboundedAnalysis::prove(const std::string& propertyExpr,
   return prove(core::Query::expr(propertyExpr), timeoutMs);
 }
 
-ChcResult UnboundedAnalysis::prove(const core::Query& property,
-                                   std::optional<unsigned> timeoutMs) {
+ir::TermRef UnboundedAnalysis::buildProperty(const core::Query& property) {
   const core::SeriesView view(&stateSeries_, 1);
   const ir::TermRef prop = property.build(view, system_->arena);
-  return proveSafety(*system_, prop, timeoutMs, &interrupt_);
+  if (prop->sort != ir::Sort::Bool) {
+    throw BackendError("chc: property must be boolean");
+  }
+  return prop;
+}
+
+ChcResult UnboundedAnalysis::prove(const core::Query& property,
+                                   std::optional<unsigned> timeoutMs) {
+  const chc::Deadline deadline(timeoutMs);
+  const ir::TermRef prop = buildProperty(property);
+  const auto finish = [&](ChcResult result) {
+    result.seconds = deadline.seconds();
+    return result;
+  };
+  if (interrupt_.interrupted()) {
+    return finish(interruptedResult(ChcStep::Induction));
+  }
+
+  // 1. Induction: P ∧ I, with I computed once per system.
+  if (!invariant_) invariant_ = chc::intervalInvariant(*system_);
+  if (chc::inductive(*system_, prop, *invariant_, deadline, &interrupt_)) {
+    ChcResult result;
+    result.status = ChcStatus::Proved;
+    result.step = ChcStep::Induction;
+    result.invariant =
+        chc::invariantText(*system_, property.description(), *invariant_);
+    return finish(std::move(result));
+  }
+  if (interrupt_.interrupted()) {
+    return finish(interruptedResult(ChcStep::Induction));
+  }
+
+  // 2. Search, whose counterexample counts only once Z3 confirms it.
+  chc::SearchOutcome search =
+      chc::searchViolation(*system_, prop, deadline, &interrupt_);
+  if (search.violated &&
+      confirmCounterexample(*system_, prop, search.counterexample,
+                            &interrupt_)) {
+    ChcResult result;
+    result.status = ChcStatus::Violated;
+    result.step = ChcStep::Search;
+    result.counterexample = std::move(search.counterexample);
+    result.searchWork = search.work;
+    return finish(std::move(result));
+  }
+  if (interrupt_.interrupted()) {
+    ChcResult result = interruptedResult(ChcStep::Search);
+    result.searchWork = search.work;
+    return finish(std::move(result));
+  }
+
+  // 3. Spacer, on what is left of the budget.
+  ChcResult result;
+  if (deadline.expired()) {
+    result.detail = "timeout";
+  } else {
+    std::optional<unsigned> left = deadline.remainingMs();
+    if (left) left = std::max(*left, 1u);  // 0 would mean no limit
+    result = proveWithSpacer(*system_, prop, left, &interrupt_);
+  }
+  result.searchWork = search.work;
+  return finish(std::move(result));
+}
+
+ChcResult UnboundedAnalysis::proveBySpacer(const core::Query& property,
+                                           std::optional<unsigned> timeoutMs) {
+  const chc::Deadline deadline(timeoutMs);
+  ChcResult result = proveWithSpacer(*system_, buildProperty(property),
+                                     timeoutMs, &interrupt_);
+  result.seconds = deadline.seconds();
+  return result;
 }
 
 std::vector<std::string> UnboundedAnalysis::stateNames() const {

@@ -11,19 +11,32 @@
 //     Inv(s) ∧ ¬property(s)             ⇒ Bad              (safety)
 //     Inv(s) ∧ step-constraints ∧ ¬assert ⇒ Bad            (in-program asserts)
 //
-// and handed to Z3's Spacer engine. `Proved` means the property holds at
-// EVERY time step of EVERY execution — no horizon bound, the direct answer
-// to Figure 6's exponential wall.
+// `Proved` means the property holds at EVERY time step of EVERY execution
+// — no horizon bound, the direct answer to Figure 6's exponential wall.
+// Three steps answer a query, in order (DESIGN.md §17), each in its own
+// z3::context:
+//  1. induction: P ∧ I is 1-inductive, where I is the interval invariant
+//     of the system (per-state ranges from interval analysis), checked by
+//     three plain quantifier-free queries;
+//  2. search: a capped breadth-first explicit-state search over the finite
+//     input box finds a shallow violation, re-confirmed by Z3 on the
+//     found inputs;
+//  3. spacer: Z3's Spacer engine on the clauses above, with nothing else
+//     lowered into its context.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/query.hpp"
 #include "core/transition.hpp"
+#include "ir/term_eval.hpp"
 
 namespace buffy::backends {
 
@@ -33,27 +46,56 @@ enum class ChcStatus { Proved, Violated, Unknown };
 
 const char* chcStatusName(ChcStatus status);
 
+/// The step that answered a query.
+enum class ChcStep { Induction, Search, Spacer };
+
+/// "induction", "search" or "spacer".
+const char* chcStepName(ChcStep step);
+
 struct ChcResult {
   ChcStatus status = ChcStatus::Unknown;
+  /// Wall time of the whole prove, every step included.
   double seconds = 0.0;
   std::string detail;  // reason when Unknown
+  /// The step that answered (the last one that ran).
+  ChcStep step = ChcStep::Spacer;
+  /// Induction only: the 1-inductive invariant P ∧ I, in query syntax over
+  /// state names.
+  std::string invariant;
+  /// Search only: the inputs of each step from the initial state to the
+  /// violation; its size is the depth. Confirmed by confirmCounterexample.
+  std::vector<ir::Assignment> counterexample;
+  /// Work the search spent: states expanded × input points × DAG nodes,
+  /// at most ir::kFiniteDomainWorkBound.
+  std::uint64_t searchWork = 0;
 
   [[nodiscard]] bool proved() const { return status == ChcStatus::Proved; }
 };
 
-/// Proves that `property` (a boolean term over the system's *pre-state*
-/// variables) holds in every reachable state, and that every in-program
-/// assert holds at every step. When `interrupt` is non-null the query
-/// registers with it so it can be cancelled from another thread.
-ChcResult proveSafety(const core::TransitionSystem& system,
-                      ir::TermRef property,
-                      std::optional<unsigned> timeoutMs = 60000,
-                      ChcInterruptHandle* interrupt = nullptr);
+/// A range of one state variable (`state` indexes TransitionSystem::state);
+/// an unset endpoint is unbounded. The interval invariant I is a list of
+/// them.
+struct StateRange {
+  std::size_t state = 0;
+  std::optional<std::int64_t> lo;
+  std::optional<std::int64_t> hi;
+};
 
-/// Cross-thread cooperative cancellation for a Spacer query, mirroring
+/// True when Z3, on pinned inputs in a fresh context, confirms that
+/// `counterexample` drives `system` from its initial state through steps
+/// whose constraints hold to a state where `property` fails, or to a last
+/// step where an in-program assert fails. The context registers with
+/// `interrupt` when it is non-null.
+bool confirmCounterexample(const core::TransitionSystem& system,
+                           ir::TermRef property,
+                           std::span<const ir::Assignment> counterexample,
+                           ChcInterruptHandle* interrupt = nullptr);
+
+/// Cross-thread cooperative cancellation for a CHC query, mirroring
 /// Analysis::interrupt's discipline: interrupt() is callable from ANY
-/// thread, cancels the in-flight query (if one is registered), and
-/// permanently cancels the handle — queries started after it return
+/// thread, cancels the in-flight Z3 call of whichever step runs (if one is
+/// registered), and permanently cancels the handle — the search polls
+/// interrupted(), and queries started after it return
 /// Unknown/"interrupted" without touching the solver. Portfolio racing
 /// uses this to stop the CHC member when a sibling wins.
 class ChcInterruptHandle {
@@ -61,9 +103,10 @@ class ChcInterruptHandle {
   void interrupt();
   [[nodiscard]] bool interrupted() const { return interrupted_.load(); }
 
-  /// RAII registration of the in-flight query's z3::context (backend
-  /// internal): registers on construction, unregisters on destruction —
-  /// which must happen before the context dies, so a cross-thread
+  /// RAII registration of the in-flight step's z3::context (backend
+  /// internal): registers on construction (interrupting the context at
+  /// once if the handle is already cancelled), unregisters on destruction
+  /// — which must happen before the context dies, so a cross-thread
   /// interrupt can never land on a destroyed context. Null handle = no-op.
   class Registration {
    public:
@@ -84,7 +127,7 @@ class ChcInterruptHandle {
   std::atomic<bool> interrupted_{false};
 };
 
-/// Convenience driver: network -> transition system -> Spacer.
+/// Network -> transition system -> induction, search, Spacer.
 class UnboundedAnalysis {
  public:
   UnboundedAnalysis(core::Network network,
@@ -99,6 +142,12 @@ class UnboundedAnalysis {
   ChcResult prove(const core::Query& property,
                   std::optional<unsigned> timeoutMs = 60000);
 
+  /// Spacer alone, without the induction and search steps before it: the
+  /// reference the oracle tests compare prove() against. No user option
+  /// reaches it.
+  ChcResult proveBySpacer(const core::Query& property,
+                          std::optional<unsigned> timeoutMs = 60000);
+
   [[nodiscard]] const core::TransitionSystem& system() const {
     return *system_;
   }
@@ -112,8 +161,12 @@ class UnboundedAnalysis {
   [[nodiscard]] bool interrupted() const { return interrupt_.interrupted(); }
 
  private:
+  ir::TermRef buildProperty(const core::Query& property);
+
   std::unique_ptr<core::TransitionSystem> system_;
   std::map<std::string, std::vector<ir::TermRef>> stateSeries_;
+  /// The interval invariant, computed by the first prove().
+  std::optional<std::vector<StateRange>> invariant_;
   ChcInterruptHandle interrupt_;
 };
 

@@ -1,7 +1,9 @@
 #include "ir/finite_domain.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -9,21 +11,6 @@
 namespace buffy::ir {
 
 namespace {
-
-/// The values one variable may take; an unset endpoint is unbounded.
-struct Box {
-  std::optional<std::int64_t> lo;
-  std::optional<std::int64_t> hi;
-
-  void atLeast(std::int64_t v) {
-    if (!lo || v > *lo) lo = v;
-  }
-  void atMost(std::int64_t v) {
-    if (!hi || v < *hi) hi = v;
-  }
-};
-
-using Boxes = std::unordered_map<TermRef, Box>;
 
 /// Narrows `boxes` by one top-level conjunct of a unit-bound shape. Other
 /// conjuncts (and bounds whose strict form leaves int64) add nothing; the
@@ -61,81 +48,38 @@ void narrow(TermRef c, Boxes& boxes) {
   }
 }
 
-/// One compiled DAG node: `values[dst] = kind(values[a], values[b],
-/// values[c])`. Unused operand slots repeat `a`.
-struct Op {
-  TermKind kind;
-  std::uint32_t dst;
-  std::uint32_t a;
-  std::uint32_t b;
-  std::uint32_t c;
-};
+}  // namespace
 
-/// Runs one op; false when the exact result does not fit int64.
-bool exec(const Op& op, std::int64_t* values) {
-  const std::int64_t a = values[op.a];
-  const std::int64_t b = values[op.b];
-  std::int64_t& out = values[op.dst];
-  switch (op.kind) {
-    case TermKind::Add: return !__builtin_add_overflow(a, b, &out);
-    case TermKind::Sub: return !__builtin_sub_overflow(a, b, &out);
-    case TermKind::Mul: return !__builtin_mul_overflow(a, b, &out);
-    case TermKind::Neg:
-      return !__builtin_sub_overflow(std::int64_t{0}, a, &out);
-    case TermKind::Div:
-      if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
-        return false;
-      }
-      out = euclideanDiv(a, b);
-      return true;
-    case TermKind::Mod: out = euclideanMod(a, b); return true;
-    case TermKind::Eq: out = a == b ? 1 : 0; return true;
-    case TermKind::Lt: out = a < b ? 1 : 0; return true;
-    case TermKind::Le: out = a <= b ? 1 : 0; return true;
-    case TermKind::And: out = (a != 0 && b != 0) ? 1 : 0; return true;
-    case TermKind::Or: out = (a != 0 || b != 0) ? 1 : 0; return true;
-    case TermKind::Not: out = a == 0 ? 1 : 0; return true;
-    case TermKind::Implies: out = (a == 0 || b != 0) ? 1 : 0; return true;
-    case TermKind::Ite: out = a != 0 ? b : values[op.c]; return true;
-    case TermKind::ConstInt:
-    case TermKind::ConstBool:
-    case TermKind::Var:
-      break;  // leaves are values, never ops
+Boxes unitBoxes(std::span<const TermRef> constraints) {
+  Boxes boxes;
+  std::vector<TermRef> conjuncts(constraints.begin(), constraints.end());
+  while (!conjuncts.empty()) {
+    const TermRef c = conjuncts.back();
+    conjuncts.pop_back();
+    if (c->kind == TermKind::And) {
+      conjuncts.insert(conjuncts.end(), c->args.begin(), c->args.end());
+    } else {
+      narrow(c, boxes);
+    }
   }
-  return true;
+  return boxes;
 }
 
-/// A free variable's value slot and box.
-struct Dim {
-  TermRef var;
-  std::uint32_t slot;
-  std::int64_t lo;
-  std::int64_t hi;
-};
+Box boxOf(const Boxes& boxes, TermRef var) {
+  Box box;
+  if (var->sort == Sort::Bool) box = Box{0, 1};
+  if (const auto it = boxes.find(var); it != boxes.end()) {
+    if (it->second.lo) box.atLeast(*it->second.lo);
+    if (it->second.hi) box.atMost(*it->second.hi);
+  }
+  return box;
+}
 
-/// The compiled problem. The variables (`dims`) are ordered by name and
-/// stepped like an odometer, the last one fastest. A node's level is the
-/// highest position among the variables it depends on (-1 for none), and
-/// `ops` are sorted by level, which keeps them topologically ordered (a
-/// node's level is at least its arguments'). So when the variables from
-/// position d on change, only the ops from `levelStart[d + 1]` on are
-/// recomputed, and a root that is false at level L stays false until
-/// variable L changes.
-struct Program {
-  std::vector<std::int64_t> values;  // one slot per node; leaves pre-set
-  std::vector<Op> ops;
-  std::vector<std::size_t> levelStart;  // by level + 1
-  std::vector<std::pair<int, std::uint32_t>> roots;  // (level, slot)
-  std::vector<Dim> dims;
-};
-
-enum class Compiled { Ok, Unbounded, EmptyBox };
-
-Compiled compile(std::span<const TermRef> constraints, const Boxes& boxes,
-                 Program& prog) {
+CompiledDag::CompiledDag(std::span<const TermRef> roots,
+                         const std::function<bool(TermRef, TermRef)>& before) {
   std::unordered_map<TermRef, std::uint32_t> slot;
   std::vector<std::pair<TermRef, bool>> stack;
-  for (const TermRef root : constraints) {
+  for (const TermRef root : roots) {
     stack.emplace_back(root, false);
     while (!stack.empty()) {
       auto [t, expanded] = stack.back();
@@ -148,87 +92,161 @@ Compiled compile(std::span<const TermRef> constraints, const Boxes& boxes,
         }
         continue;
       }
-      const auto index = static_cast<std::uint32_t>(prog.values.size());
+      const auto index = static_cast<std::uint32_t>(values_.size());
       slot.emplace(t, index);
-      prog.values.push_back(t->isConst() ? t->value : 0);
+      values_.push_back(t->isConst() ? t->value : 0);
       if (t->kind == TermKind::Var) {
-        Box box;
-        if (t->sort == Sort::Bool) box = Box{0, 1};
-        if (const auto it = boxes.find(t); it != boxes.end()) {
-          if (it->second.lo) box.atLeast(*it->second.lo);
-          if (it->second.hi) box.atMost(*it->second.hi);
-        }
-        if (!box.lo || !box.hi) return Compiled::Unbounded;
-        if (*box.lo > *box.hi) return Compiled::EmptyBox;
-        prog.dims.push_back({t, index, *box.lo, *box.hi});
+        vars_.push_back(t);
       } else if (!t->args.empty()) {
         Op op{t->kind, index, slot.at(t->args[0]), 0, 0};
         op.b = t->args.size() > 1 ? slot.at(t->args[1]) : op.a;
         op.c = t->args.size() > 2 ? slot.at(t->args[2]) : op.a;
-        prog.ops.push_back(op);
+        ops_.push_back(op);
       }
     }
   }
 
-  std::sort(prog.dims.begin(), prog.dims.end(),
-            [](const Dim& a, const Dim& b) { return a.var->name < b.var->name; });
-  std::vector<int> level(prog.values.size(), -1);
-  for (std::size_t d = 0; d < prog.dims.size(); ++d) {
-    level[prog.dims[d].slot] = static_cast<int>(d);
+  std::stable_sort(vars_.begin(), vars_.end(), before);
+  std::vector<int> level(values_.size(), -1);
+  for (std::size_t p = 0; p < vars_.size(); ++p) {
+    varSlot_.push_back(slot.at(vars_[p]));
+    level[varSlot_.back()] = static_cast<int>(p);
   }
-  for (const Op& op : prog.ops) {  // post order: arguments come first
+  for (const Op& op : ops_) {  // post order: arguments come first
     level[op.dst] = std::max({level[op.a], level[op.b], level[op.c]});
   }
-  std::stable_sort(prog.ops.begin(), prog.ops.end(),
-                   [&](const Op& a, const Op& b) {
-                     return level[a.dst] < level[b.dst];
-                   });
+  // Sorting by level keeps the ops topologically ordered, since a node's
+  // level is at least its arguments'. A root false at level L stays false
+  // until the variable at position L changes.
+  std::stable_sort(ops_.begin(), ops_.end(), [&](const Op& a, const Op& b) {
+    return level[a.dst] < level[b.dst];
+  });
   std::size_t next = 0;
-  for (int l = -1; l <= static_cast<int>(prog.dims.size()); ++l) {
-    while (next < prog.ops.size() && level[prog.ops[next].dst] < l) ++next;
-    prog.levelStart.push_back(next);
+  for (int l = -1; l <= static_cast<int>(vars_.size()); ++l) {
+    while (next < ops_.size() && level[ops_[next].dst] < l) ++next;
+    levelStart_.push_back(next);
   }
-  for (const TermRef root : constraints) {
-    prog.roots.emplace_back(level[slot.at(root)], slot.at(root));
+  for (const TermRef root : roots) {
+    roots_.push_back({level[slot.at(root)], slot.at(root)});
+    rootsByLevel_.push_back(static_cast<std::uint32_t>(rootsByLevel_.size()));
   }
-  std::stable_sort(prog.roots.begin(), prog.roots.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  return Compiled::Ok;
+  std::stable_sort(rootsByLevel_.begin(), rootsByLevel_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return roots_[a].level < roots_[b].level;
+                   });
 }
 
-}  // namespace
+/// Runs ops [firstOp, endOp); false when an exact result does not fit int64.
+bool CompiledDag::run(std::size_t firstOp, std::size_t endOp) {
+  std::int64_t* values = values_.data();
+  for (std::size_t i = firstOp; i < endOp; ++i) {
+    const Op& op = ops_[i];
+    const std::int64_t a = values[op.a];
+    const std::int64_t b = values[op.b];
+    std::int64_t& out = values[op.dst];
+    switch (op.kind) {
+      case TermKind::Add:
+        if (__builtin_add_overflow(a, b, &out)) return false;
+        break;
+      case TermKind::Sub:
+        if (__builtin_sub_overflow(a, b, &out)) return false;
+        break;
+      case TermKind::Mul:
+        if (__builtin_mul_overflow(a, b, &out)) return false;
+        break;
+      case TermKind::Neg:
+        if (__builtin_sub_overflow(std::int64_t{0}, a, &out)) return false;
+        break;
+      case TermKind::Div:
+        if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
+          return false;
+        }
+        out = euclideanDiv(a, b);
+        break;
+      case TermKind::Mod: out = euclideanMod(a, b); break;
+      case TermKind::Eq: out = a == b ? 1 : 0; break;
+      case TermKind::Lt: out = a < b ? 1 : 0; break;
+      case TermKind::Le: out = a <= b ? 1 : 0; break;
+      case TermKind::And: out = (a != 0 && b != 0) ? 1 : 0; break;
+      case TermKind::Or: out = (a != 0 || b != 0) ? 1 : 0; break;
+      case TermKind::Not: out = a == 0 ? 1 : 0; break;
+      case TermKind::Implies: out = (a == 0 || b != 0) ? 1 : 0; break;
+      case TermKind::Ite: out = a != 0 ? b : values[op.c]; break;
+      case TermKind::ConstInt:
+      case TermKind::ConstBool:
+      case TermKind::Var:
+        break;  // leaves are values, never ops
+    }
+  }
+  return true;
+}
+
+bool CompiledDag::evaluateBelow(std::size_t position) {
+  return run(0, levelStart_[position + 1]);  // ops of level < position
+}
+
+CompiledDag::Walk CompiledDag::walk(std::size_t from,
+                                    std::span<const Range> box,
+                                    std::size_t required,
+                                    const std::function<bool()>& visit,
+                                    std::uint64_t& points) {
+  const std::size_t n = vars_.size();
+  for (std::size_t k = from; k < n; ++k) set(k, box[k - from].lo);
+  std::size_t first = levelStart_[from];  // ops of level >= from - 1
+  for (;;) {
+    if (!run(first, ops_.size())) return Walk::Overflow;
+    ++points;
+    // The lowest-level required root that fails, if any.
+    std::size_t d = n;  // one past the position to step
+    bool failed = false;
+    for (const std::uint32_t r : rootsByLevel_) {
+      if (r < required && values_[roots_[r].slot] == 0) {
+        d = static_cast<std::size_t>(roots_[r].level + 1);
+        failed = true;
+        break;
+      }
+    }
+    if (!failed && !visit()) return Walk::Stopped;
+    // A failed root depends on positions 0..d-1 only, so every point that
+    // agrees with this one on them fails too: step position d - 1
+    // (carrying into earlier ones) and restart the later ones.
+    if (d <= from) return Walk::Exhausted;  // fails on the fixed prefix
+    for (std::size_t k = d; k < n; ++k) set(k, box[k - from].lo);
+    for (; d > from; --d) {
+      const Range& range = box[d - 1 - from];
+      if (var(d - 1) < range.hi) {
+        set(d - 1, var(d - 1) + 1);
+        break;
+      }
+      set(d - 1, range.lo);
+    }
+    if (d == from) return Walk::Exhausted;  // the whole box is walked
+    first = levelStart_[d];  // ops of level >= d - 1, the stepped one
+  }
+}
 
 std::optional<FiniteDomainAnswer> decideFiniteDomain(
     std::span<const TermRef> constraints) {
-  Boxes boxes;
-  std::vector<TermRef> conjuncts(constraints.begin(), constraints.end());
-  while (!conjuncts.empty()) {
-    const TermRef c = conjuncts.back();
-    conjuncts.pop_back();
-    if (c->kind == TermKind::And) {
-      conjuncts.insert(conjuncts.end(), c->args.begin(), c->args.end());
-    } else {
-      narrow(c, boxes);
-    }
+  const Boxes boxes = unitBoxes(constraints);
+  CompiledDag dag(constraints,
+                  [](TermRef a, TermRef b) { return a->name < b->name; });
+  std::vector<CompiledDag::Range> box;
+  bool emptyBox = false;
+  for (const TermRef var : dag.vars()) {
+    const Box b = boxOf(boxes, var);
+    if (!b.lo || !b.hi) return std::nullopt;
+    emptyBox = emptyBox || *b.lo > *b.hi;
+    box.push_back({*b.lo, *b.hi});
   }
-
-  Program prog;
-  switch (compile(constraints, boxes, prog)) {
-    case Compiled::Unbounded:
-      return std::nullopt;
-    case Compiled::EmptyBox:
-      return FiniteDomainAnswer{};  // some bound conjunct is never true
-    case Compiled::Ok:
-      break;
-  }
+  if (emptyBox) return FiniteDomainAnswer{};  // a bound conjunct never holds
 
   // Points in the box, capped so points × nodes stays within the bound.
   const std::uint64_t maxPoints =
-      kFiniteDomainWorkBound / std::max<std::size_t>(prog.values.size(), 1);
+      kFiniteDomainWorkBound / std::max<std::size_t>(dag.nodes(), 1);
   std::uint64_t points = 1;
-  for (const Dim& d : prog.dims) {
+  for (const CompiledDag::Range& r : box) {
     std::int64_t span = 0;
-    if (__builtin_sub_overflow(d.hi, d.lo, &span) ||
+    if (__builtin_sub_overflow(r.hi, r.lo, &span) ||
         static_cast<std::uint64_t>(span) >= maxPoints ||
         __builtin_mul_overflow(points, static_cast<std::uint64_t>(span) + 1,
                                &points) ||
@@ -237,43 +255,19 @@ std::optional<FiniteDomainAnswer> decideFiniteDomain(
     }
   }
 
-  std::int64_t* values = prog.values.data();
-  for (const Dim& d : prog.dims) values[d.slot] = d.lo;
   FiniteDomainAnswer answer;
-  std::size_t from = 0;  // first op whose inputs changed
-  for (;;) {
-    for (std::size_t i = from; i < prog.ops.size(); ++i) {
-      if (!exec(prog.ops[i], values)) return std::nullopt;
-    }
-    ++answer.points;
-    const auto failed =
-        std::find_if(prog.roots.begin(), prog.roots.end(),
-                     [&](const auto& root) { return values[root.second] == 0; });
-    if (failed == prog.roots.end()) {
-      answer.sat = true;
-      for (const Dim& d : prog.dims) {
-        answer.model.emplace(d.var->name, values[d.slot]);
-      }
-      return answer;
-    }
-    // The failed root depends on variables 0..L only, so every point that
-    // agrees with this one on them fails too: step variable L (carrying
-    // into earlier ones) and restart the later ones.
-    auto d = static_cast<std::size_t>(failed->first + 1);  // one past L
-    for (std::size_t k = d; k < prog.dims.size(); ++k) {
-      values[prog.dims[k].slot] = prog.dims[k].lo;
-    }
-    for (; d > 0; --d) {
-      const Dim& dim = prog.dims[d - 1];
-      if (values[dim.slot] < dim.hi) {
-        ++values[dim.slot];
-        break;
-      }
-      values[dim.slot] = dim.lo;
-    }
-    if (d == 0) return answer;  // the whole box is decided: Unsat
-    from = prog.levelStart[d];  // ops of level >= d - 1, the stepped one
-  }
+  const auto walked = dag.walk(
+      0, box, constraints.size(),
+      [&] {
+        answer.sat = true;
+        for (std::size_t p = 0; p < dag.vars().size(); ++p) {
+          answer.model.emplace(dag.vars()[p]->name, dag.var(p));
+        }
+        return false;
+      },
+      answer.points);
+  if (walked == CompiledDag::Walk::Overflow) return std::nullopt;
+  return answer;
 }
 
 }  // namespace buffy::ir

@@ -191,6 +191,25 @@ TEST(Cli, ProveUnbounded) {
       model("round_robin.bfy"));
   EXPECT_EQ(proof.exitCode, 0) << proof.output;
   EXPECT_NE(proof.output.find("PROVED"), std::string::npos) << proof.output;
+  // The second line names the step and its evidence: the invariant P ∧ I.
+  EXPECT_NE(proof.output.find("by induction: invariant (rr.cdeq.0[0] >= 0) & "
+                              "rr.ob.pkts[0] == 0 & rr.next[0] >= 0 & "
+                              "rr.next[0] <= 1"),
+            std::string::npos)
+      << proof.output;
+  // A false cap is refuted by the search, with the inputs of each step.
+  const auto refuted = runCli(
+      "prove -D N=2 --instance rr --input ibs:4:2 --output ob:16 "
+      "--model counter --query \"rr.cdeq.0[0] < 3\" " +
+      model("round_robin.bfy"));
+  EXPECT_EQ(refuted.exitCode, 1) << refuted.output;
+  EXPECT_NE(refuted.output.find("VIOLATED"), std::string::npos)
+      << refuted.output;
+  EXPECT_NE(refuted.output.find("by search: depth 3; step 0: in.rr.ibs.0.n="),
+            std::string::npos)
+      << refuted.output;
+  EXPECT_NE(refuted.output.find(", step 2:"), std::string::npos)
+      << refuted.output;
 }
 
 TEST(Cli, LintCommand) {

@@ -1211,6 +1211,21 @@ int run(const Options& opts) {
         unbounded.prove(opts.query, opts.timeoutMs);
     std::printf("%s (%.3f s)\n", backends::chcStatusName(result.status),
                 result.seconds);
+    // The step that answered, with its evidence (DESIGN.md §17).
+    std::printf("by %s", backends::chcStepName(result.step));
+    if (!result.invariant.empty()) {
+      std::printf(": invariant %s", result.invariant.c_str());
+    } else if (result.status == backends::ChcStatus::Violated &&
+               result.step == backends::ChcStep::Search) {
+      std::printf(": depth %zu", result.counterexample.size());
+      for (std::size_t k = 0; k < result.counterexample.size(); ++k) {
+        std::printf("%s step %zu:", k == 0 ? ";" : ",", k);
+        for (const auto& [input, value] : result.counterexample[k]) {
+          std::printf(" %s=%lld", input.c_str(), static_cast<long long>(value));
+        }
+      }
+    }
+    std::printf("\n");
     switch (result.status) {
       case backends::ChcStatus::Proved: return kExitOk;
       case backends::ChcStatus::Violated: return kExitViolation;
